@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd, isqrt
+from math import gcd
 
-from .numtheory import is_probable_prime, pth_residue
+from .numtheory import _sieve, is_probable_prime, pth_residue
 from .ring import RingElement, UnitKind, classify_unit, one, ring_pow, unchecked_context
 
 FACTOR_LIMIT = 10**12
@@ -28,12 +28,7 @@ _trial_primes: list[int] | None = None
 def _get_trial_primes() -> list[int]:
     global _trial_primes
     if _trial_primes is None:
-        flags = bytearray(b"\x01") * (_TRIAL_LIMIT + 1)
-        flags[0:2] = b"\x00\x00"
-        for i in range(2, isqrt(_TRIAL_LIMIT) + 1):
-            if flags[i]:
-                flags[i * i :: i] = b"\x00" * len(range(i * i, _TRIAL_LIMIT + 1, i))
-        _trial_primes = [i for i, f in enumerate(flags) if f]
+        _trial_primes = _sieve(_TRIAL_LIMIT)
     return _trial_primes
 
 

@@ -69,7 +69,11 @@ def cert_encode(cert: Certificate) -> str:
 def _parse_int(key: str, value: str) -> int:
     if not _INT_RE.match(value):
         raise CertFormatError(f"key {key}: not an unsigned base-10 integer: {value!r}")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        # CPython caps int() of a decimal string at sys.get_int_max_str_digits()
+        raise CertFormatError(f"key {key}: integer of {len(value)} digits is too long") from None
 
 
 def cert_decode(text: str) -> Certificate:

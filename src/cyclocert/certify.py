@@ -20,6 +20,7 @@ from math import gcd
 from .chain import forward_search, reversed_construct, select_base_d, structural_bound_ok
 from .numtheory import SeedTrust, monogenic_ok, pth_residue
 from .ring import (
+    PRIME_DEGREES,
     RingContext,
     RingElement,
     UnitKind,
@@ -144,13 +145,14 @@ def phase2_cyclotomic(ctx: RingContext, w: RingElement, k: int, q: int) -> Verdi
 def verify(cert: Certificate) -> Verdict:
     """Non-recursive certificate check; a constant number of exponentiations.
 
-    Order of checks: structural bound, congruences, field parameters
+    Order of checks: a degree in PRIME_DEGREES and N, q >= 2 (before any
+    arithmetic), structural bound, congruences, field parameters
     (gcd and p-th power non-residue), exact cofactor, the fast filter
     w^Phi_p(N) = 1, then the cyclotomic condition.  PRIME is returned only
     when phase 2 certifies it.
     """
     n, p, q, k, d = cert.N, cert.p, cert.q, cert.k, cert.d
-    if n < 2 or q < 2:
+    if p not in PRIME_DEGREES or n < 2 or q < 2:
         return Verdict(Outcome.REJECT, Reason.FORMAT)
     if not structural_bound_ok(n, q, p):
         return Verdict(Outcome.REJECT, Reason.BOUND)

@@ -3,23 +3,40 @@
 Two directions are implemented.  The forward direction derives N from a seed
 prime q via the odd square root of -3 mod q; it only lands on a target bit
 length when that root happens to be small, so it is practical for small
-sizes only.  The reversed direction samples N first and hunts for a large
-prime factor q of Phi_p(N) with a small cofactor k; it is the default and is
-what reproduces the reference tables, where q is close to N^(p-1).
+sizes only.  The reversed direction searches sieved windows of N for one
+where Phi_p(N) is a large prime q times a small cofactor k; it is the
+default and is what reproduces the reference tables, where q is close to
+N^(p-1).
 """
 
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
+from functools import lru_cache
+from itertools import compress
+from math import gcd, isqrt
 
-from .numtheory import SeedPrime, is_probable_prime, make_seed, monogenic_ok, pth_residue, sqrt_minus3
+from .numtheory import (
+    SeedPrime,
+    _sieve,
+    is_probable_prime,
+    make_seed,
+    monogenic_ok,
+    pth_residue,
+    smooth_part,
+    sqrt_minus3,
+)
 from .ring import cyclotomic_value
 
 DEFAULT_K_MAX = 10_000
 DEFAULT_ATTEMPT_BUDGET = 100_000
+# primes up to SIEVE_BOUND strike window positions; array("H") holds them
+SIEVE_BOUND = 1 << 15
+SIEVE_WINDOW = 4096
 
 
 class ChainStatus(Enum):
@@ -94,21 +111,120 @@ def _sample_candidate(rng: random.Random, bits: int, p: int) -> int | None:
     return n
 
 
+@lru_cache(maxsize=None)
+def _sieve_table(p: int) -> tuple[array, array, array, array, tuple[array, ...]]:
+    """Per-degree sieve data, built on first use rather than at import.
+
+    The odd primes ℓ <= SIEVE_BOUND other than p with (2p)⁻¹ mod ℓ; then the
+    subset ℓ ≡ 1 (mod p) with their inverses and p-1 columns holding the
+    residues where Phi_p vanishes mod ℓ.
+    """
+    # filled one value at a time: every fresh import of the package rebuilds
+    # the table, and lists of boxed ints left behind fragment the allocator
+    primes = array("H", (ell for ell in _sieve(SIEVE_BOUND) if ell not in (2, p)))
+    inverses = array("H", (pow(2 * p, -1, ell) for ell in primes))
+    split = array("H", (ell for ell in primes if ell % p == 1))
+    split_inverses = array("H", (pow(2 * p, -1, ell) for ell in split))
+    root_columns = tuple(array("H") for _ in range(p - 1))
+    for ell in split:
+        for column, r in zip(root_columns, sorted(cyclotomic_roots(p, ell))):
+            column.append(r)
+    return primes, inverses, split, split_inverses, root_columns
+
+
+def _root_ceil(x: int, p: int) -> int:
+    """Smallest n >= 1 with n**p >= x."""
+    n = max(1, round(x ** (1 / p)))
+    while n**p < x:
+        n += 1
+    while n > 1 and (n - 1) ** p >= x:
+        n -= 1
+    return n
+
+
+def sieve_window(start: int, count: int, p: int, k_max: int) -> bytearray:
+    """Flags for N = start + 2p·i, 0 <= i < count: 0 where N cannot certify.
+
+    N is struck when a prime ℓ <= SIEVE_BOUND with ℓ < N divides N, or when
+    a prime ℓ ≡ 1 (mod p) with k_max < ℓ <= SIEVE_BOUND and (ℓ+1)² <= N^p
+    divides Phi_p(N): such an ℓ is too large to sit in k <= k_max and too
+    small to be q under the structural bound, so Phi_p(N) = k·q fails.
+    """
+    step = 2 * p
+    if start % step != 1:
+        raise ValueError("window start must be ≡ 1 (mod 2p)")
+    primes, inverses, split, split_inverses, root_columns = _sieve_table(p)
+    flags = bytearray(b"\x01") * count
+    # only a window this low can hold an N <= ℓ, or an N with N^p < (ℓ+1)²
+    low = start <= SIEVE_BOUND
+    for ell, inv in zip(primes, inverses):
+        i = -(start % ell) * inv % ell
+        if low and start + step * i == ell:
+            i += ell
+        if i + ell < count:
+            flags[i::ell] = bytes((count - 1 - i) // ell + 1)
+        elif i < count:
+            flags[i] = 0
+    first = bisect_right(split, k_max)
+    columns = [column[first:] for column in root_columns]
+    for ell, inv, *roots in zip(split[first:], split_inverses[first:], *columns):
+        s = start % ell
+        lo = max(0, -((start - _root_ceil((ell + 1) ** 2, p)) // step)) if low else 0
+        for r in roots:
+            i = (r - s) * inv % ell
+            if i < lo:
+                i -= (i - lo) // ell * ell
+            if i + ell < count:
+                flags[i::ell] = bytes((count - 1 - i) // ell + 1)
+            elif i < count:
+                flags[i] = 0
+    return flags
+
+
+def cofactor_split(phi: int, k_max: int) -> tuple[int, int] | None:
+    """The one split Phi = k·q with k <= k_max that can hold a prime q with q² > Phi.
+
+    Such a q is the only prime factor of Phi above isqrt(Phi), so k must be
+    the y-smooth part of Phi for y = min(k_max, isqrt(Phi)).  Taking
+    y = k_max alone would swallow a q <= k_max of a small Phi.  None when
+    that part exceeds k_max or leaves q = 1.  Every accepted chain has
+    q² > Phi: the structural bound (q+1)² > N^p and q <= Phi give
+    q² > N^p - 1 - 2·Phi, which is at least Phi = (N^p - 1)/(N - 1) for N >= 4.
+    """
+    k = smooth_part(phi, min(k_max, isqrt(phi)))
+    if k > k_max or k == phi:
+        return None
+    return k, phi // k
+
+
+def candidate_split(n: int, p: int, k_max: int) -> tuple[int, int] | None:
+    """(k, q) with Phi_p(n) = k·q that passes every check of the chain, or None.
+
+    The cofactor comes first because it needs only gcds; then n is tested
+    (2 rounds), then the structural bound, then q.
+    """
+    split = cofactor_split(cyclotomic_value(n, p), k_max)
+    if split is None or not is_probable_prime(n, rounds=2):
+        return None
+    if not structural_bound_ok(n, split[1], p) or not is_probable_prime(split[1]):
+        return None
+    return split
+
+
 def reversed_construct(
     target_bits: int,
     p: int,
     k_max: int = DEFAULT_K_MAX,
     rng: random.Random | None = None,
     attempt_budget: int = DEFAULT_ATTEMPT_BUDGET,
-    prefilter: bool = True,
 ) -> ChainResult:
-    """Sample N ≡ 1 (mod p) of the target size and scan small cofactors.
+    """Incremental search for N ≡ 1 (mod 2p) of the target size with Phi_p(N) = k·q.
 
-    For each candidate, q = Phi_p(N)/k is tested for probable primality over
-    cofactors k <= k_max, accepting the first prime quotient that satisfies
-    the structural bound.  Candidates failing a cheap compositeness filter
-    are skipped by default: a composite N can never certify, so scanning its
-    cofactors would be wasted work.
+    Each window starts at a random N and covers up to SIEVE_WINDOW values
+    N, N + 2p, ... of the same bit length.  The window is sieved (see
+    sieve_window), and the survivors are tried in order by candidate_split;
+    the first that certifies is returned.  attempt_budget counts window
+    positions.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -116,21 +232,22 @@ def reversed_construct(
         raise ValueError("target bit length must be at least 3")
     if rng is None:
         rng = random.Random(0)
-    for _ in range(attempt_budget):
-        n = _sample_candidate(rng, target_bits, p)
-        if n is None:
+    step = 2 * p
+    top = 1 << target_bits
+    left = attempt_budget
+    while left > 0:
+        start = _sample_candidate(rng, target_bits, p)
+        if start is None:
+            left -= 1
             continue
-        if prefilter and not is_probable_prime(n, rounds=2):
-            continue
-        phi = cyclotomic_value(n, p)
-        for k in range(1, k_max + 1):
-            if phi % k != 0:
-                continue
-            q = phi // k
-            if not structural_bound_ok(n, q, p):
-                break  # q only shrinks as k grows
-            if is_probable_prime(q):
-                return ChainResult(ChainStatus.ACCEPTED, p=p, N=n, q=q, k=k)
+        count = min(SIEVE_WINDOW, left, (top - 1 - start) // step + 1)
+        left -= count
+        flags = sieve_window(start, count, p, k_max)
+        for i in compress(range(count), flags):
+            n = start + step * i
+            split = candidate_split(n, p, k_max)
+            if split is not None:
+                return ChainResult(ChainStatus.ACCEPTED, p=p, N=n, q=split[1], k=split[0])
     return ChainResult(ChainStatus.REJECT_NO_SEED, p=p)
 
 

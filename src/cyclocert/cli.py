@@ -17,7 +17,7 @@ from .bench import run_bench
 from .carmichael import search_carmichael
 from .certfile import CertFileError, cert_decode, cert_encode
 from .certify import GenerationError, Outcome, Verdict, generate_certificate, sprp_filter, verify
-from .chain import DEFAULT_K_MAX, cyclotomic_roots
+from .chain import DEFAULT_K_MAX, cofactor_split, cyclotomic_roots
 from .numtheory import is_probable_prime
 from .ring import RingElement, cyclotomic_value
 
@@ -90,13 +90,8 @@ def _cmd_filter(args) -> int:
     if n % 3 != 1 or n % 2 == 0 or n <= 3:
         print("filter needs an odd n > 3 with n ≡ 1 (mod 3)", file=sys.stderr)
         return 1
-    phi = cyclotomic_value(n, 3)
-    found = None
-    for k in range(1, DEFAULT_K_MAX + 1):
-        if phi % k == 0 and is_probable_prime(phi // k):
-            found = (k, phi // k)
-            break
-    if found is None:
+    found = cofactor_split(cyclotomic_value(n, 3), DEFAULT_K_MAX)
+    if found is None or not is_probable_prime(found[1]):
         print("no factorization n²+n+1 = k·q with a small cofactor found", file=sys.stderr)
         return 1
     k, q = found
@@ -168,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--bits", type=int, required=True, help="target bit length of N")
     g.add_argument("--degree", type=int, default=3, help="prime ring degree p")
     g.add_argument("--d", default="auto", help="ring base: 'auto' or an integer")
-    g.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, help="largest cofactor to scan")
+    g.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, help="largest cofactor k allowed")
     g.add_argument("--mode", choices=("reversed", "forward"), default="reversed")
     g.add_argument("--rng-seed", type=int, default=0)
     g.add_argument("--out", help="write the certificate file here instead of stdout")

@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd, isqrt
+from functools import lru_cache
+from math import gcd, isqrt, prod
 
 _SMALL_PRIME_LIMIT = 2048
 
@@ -26,6 +27,8 @@ def _sieve(limit: int) -> list[int]:
 
 
 SMALL_PRIMES = _sieve(_SMALL_PRIME_LIMIT)
+# one gcd with their product does the trial division
+_SMALL_PRIME_PRODUCT = prod(SMALL_PRIMES)
 
 # bases d are kept small enough that squarefreeness is decidable by trial
 # division with the sieved primes alone
@@ -90,9 +93,8 @@ def is_probable_prime(n: int, rounds: int = 20, rng: random.Random | None = None
     """
     if n < 2:
         return False
-    for p in SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
+    if gcd(n, _SMALL_PRIME_PRODUCT) != 1:
+        return n <= _SMALL_PRIME_LIMIT and n in SMALL_PRIMES
     if n < _SMALL_PRIME_LIMIT * _SMALL_PRIME_LIMIT:
         return True
     if not _strong_test(n, 2):
@@ -104,6 +106,28 @@ def is_probable_prime(n: int, rounds: int = 20, rng: random.Random | None = None
         if not _strong_test(n, a):
             return False
     return True
+
+
+@lru_cache(maxsize=8)
+def _primorial(y: int) -> int:
+    return prod(_sieve(y))
+
+
+def smooth_part(m: int, y: int) -> int:
+    """Largest divisor of m > 0 whose prime factors are all at most y.
+
+    One gcd with the product of the primes up to y finds the primes present;
+    each further gcd strips one more power of them.
+    """
+    if m < 1:
+        raise ValueError("require m >= 1")
+    part = 1
+    g = gcd(m, _primorial(y))
+    while g > 1:
+        part *= g
+        m //= g
+        g = gcd(m, g)
+    return part
 
 
 def _tonelli_shanks(a: int, q: int, rng: random.Random) -> int:

@@ -1,6 +1,7 @@
 """Certificate text format: golden file, round trips, strict rejection."""
 
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,8 @@ from cyclocert import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden_n7.cert"
+# CPython's cap on int() of a decimal string; 0 where there is none
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def fixture_cert():
@@ -122,6 +125,12 @@ class TestDecodeValidation:
     def test_coefficient_range_enforced(self):
         text = GOLDEN.read_text().replace("w0=3", "w0=7")
         with pytest.raises(CertInvariantError):
+            cert_decode(text)
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() has no digit limit here")
+    def test_overlong_integer_names_its_key(self):
+        text = GOLDEN.read_text().replace("N=7", "N=1" + "0" * INT_DIGIT_LIMIT)
+        with pytest.raises(CertFormatError, match="key N"):
             cert_decode(text)
 
     def test_bad_trust_label(self):

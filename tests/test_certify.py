@@ -11,6 +11,7 @@ from cyclocert import (
     Reason,
     RingElement,
     SeedTrust,
+    Verdict,
     cyclotomic_value,
     element,
     generate_certificate,
@@ -194,6 +195,12 @@ class TestVerify:
         verdict = verify(cert_for(7, 19, 3, w))
         assert verdict.outcome is Outcome.REJECT
         assert verdict.reason is Reason.FORMAT
+
+    @pytest.mark.parametrize("p", [0, 2, 4, 17])
+    def test_reject_format_for_unsupported_degree(self, p):
+        # p = 0 used to reach (N-1)/p and raise ZeroDivisionError
+        verdict = verify(cert_for(7, 19, 3, RingElement((1, 0, 0)), p=p))
+        assert verdict == Verdict(Outcome.REJECT, Reason.FORMAT)
 
     def test_retry_propagates(self):
         verdict = verify(cert_for(7, 19, 3, RingElement((4, 0, 0))))

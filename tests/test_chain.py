@@ -17,7 +17,13 @@ from cyclocert import (
     select_base_d,
     structural_bound_ok,
 )
-from cyclocert.chain import random_seed_prime
+from cyclocert.chain import (
+    SIEVE_BOUND,
+    candidate_split,
+    cofactor_split,
+    random_seed_prime,
+    sieve_window,
+)
 from cyclocert.reference import REFERENCE_CHAINS_DEGREE3, REFERENCE_CHAINS_DEGREE5
 from helpers import ScriptedBits, sieve_primes
 
@@ -127,6 +133,91 @@ class TestReversedConstruct:
             reversed_construct(32, 3, k_max=0)
         with pytest.raises(ValueError):
             reversed_construct(2, 3)
+
+
+def scan_cofactors(n, p, k_max):
+    """The original per-candidate search, kept as the oracle: test N, then
+    try k = 1..k_max in order while q = Phi/k still meets the bound."""
+    if not is_probable_prime(n, rounds=2):
+        return None
+    phi = cyclotomic_value(n, p)
+    for k in range(1, k_max + 1):
+        if phi % k != 0:
+            continue
+        q = phi // k
+        if not structural_bound_ok(n, q, p):
+            break  # q only shrinks as k grows
+        if is_probable_prime(q):
+            return k, q
+    return None
+
+
+def struck_directly(n, p, k_max, primes):
+    """Whether the window sieve's rule strikes n, evaluated for n alone."""
+    phi = cyclotomic_value(n, p)
+    for ell in primes:
+        if ell in (2, p):
+            continue
+        if n % ell == 0 and ell < n:
+            return True
+        if ell % p == 1 and ell > k_max and (ell + 1) ** 2 <= n**p and phi % ell == 0:
+            return True
+    return False
+
+
+K_MAXES = [1, 3, 10, 100, 500, 10000]
+
+
+class TestSievedSearchMatchesScan:
+    @pytest.mark.parametrize("k_max", K_MAXES)
+    @pytest.mark.parametrize("p,limit", [(3, 3000), (5, 400)])
+    def test_every_small_candidate(self, p, limit, k_max):
+        # all of these N lie below SIEVE_BOUND, where ℓ >= N must be spared
+        start = 2 * p + 1
+        count = (limit - 1 - start) // (2 * p) + 1
+        flags = sieve_window(start, count, p, k_max)
+        for i in range(count):
+            n = start + 2 * p * i
+            expected = scan_cofactors(n, p, k_max)
+            assert candidate_split(n, p, k_max) == expected, n
+            if not flags[i]:
+                assert expected is None, n
+
+    @pytest.mark.parametrize("k_max", [100, 10000])
+    def test_window_above_sieve_bound(self, k_max):
+        p, count = 3, 240
+        start = SIEVE_BOUND + 1 + (-SIEVE_BOUND) % 6
+        primes = sieve_primes(SIEVE_BOUND)
+        flags = sieve_window(start, count, p, k_max)
+        for i in range(count):
+            n = start + 6 * i
+            assert (not flags[i]) == struck_directly(n, p, k_max, primes), n
+            if not flags[i]:
+                assert scan_cofactors(n, p, k_max) is None, n
+
+    def test_windows_agree_at_any_start(self):
+        for p, limit in [(3, 3000), (5, 400)]:
+            for k_max in (10, 10000):
+                whole = sieve_window(2 * p + 1, (limit - 2 * p - 2) // (2 * p) + 1, p, k_max)
+                rng = random.Random(p * k_max)
+                for _ in range(20):
+                    i = rng.randrange(len(whole))
+                    count = rng.randrange(1, len(whole) - i + 1)
+                    part = sieve_window(2 * p + 1 + 2 * p * i, count, p, k_max)
+                    assert part == whole[i : i + count]
+
+    def test_smooth_part_bound_is_not_k_max_alone(self):
+        # q = 19 <= k_max must stay out of k: y is capped at isqrt(Phi)
+        assert cofactor_split(57, 100) == (3, 19)
+        assert candidate_split(7, 3, 100) == (3, 19)
+        assert candidate_split(11, 5, 10000) == scan_cofactors(11, 5, 10000)
+
+    def test_fully_smooth_value_has_no_split(self):
+        assert cofactor_split(3 * 7 * 13, 10000) is None
+
+    def test_window_start_must_be_admissible(self):
+        with pytest.raises(ValueError):
+            sieve_window(9, 10, 3, 100)
 
 
 class TestSecurityGcds:

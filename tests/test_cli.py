@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, determinism, stream split."""
 
 import random
+import sys
 
 import pytest
 
@@ -25,6 +26,9 @@ from cyclocert.cli import (
     exit_code_for,
     main,
 )
+
+# CPython's cap on int() of a decimal string; 0 where there is none
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 class TestExitCodeMapping:
@@ -124,6 +128,14 @@ class TestVerify:
         path.write_text("not a certificate\n")
         assert main(["verify", "--cert", str(path)]) == EXIT_FORMAT
         assert "rejected" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() has no digit limit here")
+    def test_overlong_integer_exit_five(self, tmp_path, capsys):
+        path = tmp_path / "long.cert"
+        cert = Certificate("1", 3, 2, 7, 19, 3, RingElement((3, 1, 6)), SeedTrust.PROBABLE)
+        path.write_text(cert_encode(cert).replace("N=7", "N=1" + "0" * INT_DIGIT_LIMIT))
+        assert main(["verify", "--cert", str(path)]) == EXIT_FORMAT
+        assert "key N" in capsys.readouterr().err
 
     def test_missing_file_exit_five(self, capsys):
         assert main(["verify", "--cert", "/nonexistent/path.cert"]) == EXIT_FORMAT

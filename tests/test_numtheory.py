@@ -13,6 +13,7 @@ from cyclocert import (
     pth_residue,
     sqrt_minus3,
 )
+from cyclocert.numtheory import smooth_part
 from cyclocert.reference import REFERENCE_CHAINS_DEGREE3
 from helpers import sieve_primes
 
@@ -104,6 +105,10 @@ class TestIsProbablePrime:
     def test_reference_seed_prime(self):
         assert is_probable_prime(REFERENCE_CHAINS_DEGREE3[0].q) is True
 
+    def test_exact_below_trial_division_square(self):
+        primes = sieve_primes(20000)
+        assert [n for n in range(-2, 20001) if is_probable_prime(n)] == primes
+
     def test_composite_beyond_trial_division_caught(self):
         # both factors exceed the trial division limit
         p, q = 1099511627791, 1099511627803
@@ -114,6 +119,23 @@ class TestIsProbablePrime:
         p = 2**61 - 1
         assert is_probable_prime(p) is True
         assert is_probable_prime(p * p) is False
+
+
+class TestSmoothPart:
+    def test_matches_trial_division(self):
+        for y in (1, 2, 3, 7, 30):
+            primes = sieve_primes(y)
+            for m in range(1, 3000):
+                expected, rest = 1, m
+                for ell in primes:
+                    while rest % ell == 0:
+                        rest //= ell
+                        expected *= ell
+                assert smooth_part(m, y) == expected, (m, y)
+
+    def test_nonpositive_rejected(self):
+        with pytest.raises(ValueError):
+            smooth_part(0, 10)
 
 
 class TestMonogenicOk:
