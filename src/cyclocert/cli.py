@@ -19,7 +19,7 @@ from .certfile import CertFileError, cert_decode, cert_encode
 from .certify import GenerationError, Outcome, Verdict, generate_certificate, sprp_filter, verify
 from .chain import DEFAULT_K_MAX, cofactor_split, cyclotomic_roots
 from .numtheory import is_probable_prime
-from .ring import RingElement, cyclotomic_value
+from .ring import RingElement, cyclotomic_value, make_context
 
 EXIT_PRIME = 0
 EXIT_REJECT = 2
@@ -89,6 +89,11 @@ def _cmd_filter(args) -> int:
     n, d = args.n, args.d
     if n % 3 != 1 or n % 2 == 0 or n <= 3:
         print("filter needs an odd n > 3 with n ≡ 1 (mod 3)", file=sys.stderr)
+        return 1
+    try:
+        make_context(n, 3, d)
+    except ValueError as exc:
+        print(f"filter failed: {exc}", file=sys.stderr)
         return 1
     found = cofactor_split(cyclotomic_value(n, 3), DEFAULT_K_MAX)
     if found is None or not is_probable_prime(found[1]):

@@ -6,6 +6,11 @@ works even when modular elimination would hit non-invertible pivots.
 Elements are coefficient vectors of length exactly p, fully reduced into
 [0, N) after every operation.  Everything here is a pure function of
 immutable inputs.
+
+Products run on plain lists of ints with one kernel for every degree: a
+schoolbook product, a squaring that takes each cross term once as
+2·a_i·a_j, and a sliding-window exponentiation over both.  A RingElement
+is built only at the end of ring_mul and ring_pow.
 """
 
 from __future__ import annotations
@@ -120,36 +125,93 @@ def ring_sub(ctx: RingContext, a: RingElement, b: RingElement) -> RingElement:
     return RingElement(tuple((x - y) % N for x, y in zip(a.coeffs, b.coeffs)))
 
 
-def ring_mul(ctx: RingContext, a: RingElement, b: RingElement) -> RingElement:
-    """Product reduced by x**p = d and then mod N.
+def _fold(conv: list[int], p: int, N: int, d: int) -> list[int]:
+    """Fold the coefficient of x^(p+i) into x^i with multiplier d, then reduce mod N."""
+    for i in range(p - 1):
+        conv[i] += d * conv[i + p]
+    return [c % N for c in conv[:p]]
 
-    Schoolbook convolution of length 2p-1, folding the coefficient of
-    x^(p+i) into x^i with multiplier d.
-    """
-    p, N, d = ctx.p, ctx.N, ctx.d
+
+def _mul(a, b, p: int, N: int, d: int) -> list[int]:
+    """Product of two coefficient sequences: schoolbook convolution, then the fold."""
     conv = [0] * (2 * p - 1)
-    for i, ai in enumerate(a.coeffs):
-        if ai:
-            for j, bj in enumerate(b.coeffs):
-                conv[i + j] += ai * bj
-    for i in range(2 * p - 2, p - 1, -1):
-        conv[i - p] += d * conv[i]
-    return RingElement(tuple(c % N for c in conv[:p]))
+    for i, ai in enumerate(a):
+        k = i
+        for bj in b:
+            conv[k] += ai * bj
+            k += 1
+    return _fold(conv, p, N, d)
+
+
+def _sqr(a, p: int, N: int, d: int) -> list[int]:
+    """Square of a coefficient sequence with p(p+1)/2 products.
+
+    Each off-diagonal pair enters once as 2·a_i·a_j, so p = 3 takes 6
+    products where the general convolution takes 9.
+    """
+    conv = [0] * (2 * p - 1)
+    for i, ai in enumerate(a):
+        conv[2 * i] += ai * ai
+        twice = ai << 1
+        k = 2 * i + 1
+        for aj in a[i + 1 :]:
+            conv[k] += twice * aj
+            k += 1
+    return _fold(conv, p, N, d)
+
+
+def ring_mul(ctx: RingContext, a: RingElement, b: RingElement) -> RingElement:
+    """Product reduced by x**p = d and then mod N; ring_mul(a, a) squares."""
+    if a is b:
+        return RingElement(tuple(_sqr(a.coeffs, ctx.p, ctx.N, ctx.d)))
+    return RingElement(tuple(_mul(a.coeffs, b.coeffs, ctx.p, ctx.N, ctx.d)))
+
+
+def _window_width(bits: int) -> int:
+    """Width w minimising the table's 2^(w-1) entries plus about bits/(w+1) window products."""
+    return min(range(1, 8), key=lambda w: (1 << (w - 1)) + bits / (w + 1))
 
 
 def ring_pow(ctx: RingContext, a: RingElement, e: int) -> RingElement:
-    """a**e by square and multiply; a**0 is the multiplicative identity."""
+    """a**e by left-to-right sliding windows of odd powers; a**0 is the identity.
+
+    The Handbook of Applied Cryptography's Alg. 14.85 on plain coefficient
+    lists: the table holds a, a^3, ..., a^(2^w - 1) for a width w chosen
+    from the exponent's length, each zero bit costs a squaring, and each
+    window of at most w bits ending in a one costs its squarings and one
+    table product.
+    """
     if e < 0:
         raise ValueError("exponent must be nonnegative")
-    result = one(ctx)
-    base = a
-    while e:
-        if e & 1:
-            result = ring_mul(ctx, result, base)
-        e >>= 1
-        if e:
-            base = ring_mul(ctx, base, base)
-    return result
+    if e == 0:
+        return one(ctx)
+    p, N, d = ctx.p, ctx.N, ctx.d
+    digits = bin(e)[2:]
+    width = _window_width(len(digits))
+    odd = [[c % N for c in a.coeffs]]
+    if width > 1:
+        square = _sqr(odd[0], p, N, d)
+        for _ in range((1 << (width - 1)) - 1):
+            odd.append(_mul(odd[-1], square, p, N, d))
+    acc = None
+    i = 0
+    while i < len(digits):
+        if digits[i] == "0":
+            acc = _sqr(acc, p, N, d)
+            i += 1
+            continue
+        j = min(i + width, len(digits))
+        while digits[j - 1] == "0":
+            j -= 1
+        entry = odd[int(digits[i:j], 2) >> 1]
+        if acc is None:
+            acc = entry
+        else:
+            for _ in range(j - i):
+                acc = _sqr(acc, p, N, d)
+            acc = _mul(acc, entry, p, N, d)
+        i = j
+    return RingElement(tuple(acc))
 
 
 def _bareiss_det(m: list[list[int]]) -> int:

@@ -36,6 +36,34 @@ def slow_pow(ctx: RingContext, a: RingElement, e: int) -> RingElement:
     return result
 
 
+def schoolbook_mul(ctx: RingContext, a: RingElement, b: RingElement) -> RingElement:
+    """Product by the full polynomial convolution, then x^t -> d·x^(t-p) from the top down.
+
+    The oracle for the ring kernel; it shares no code with ring_mul.
+    """
+    p, n, d = ctx.p, ctx.N, ctx.d
+    poly = [0] * (2 * p - 1)
+    for i in range(p):
+        for j in range(p):
+            poly[i + j] += a.coeffs[i] * b.coeffs[j]
+    for t in range(2 * p - 2, p - 1, -1):
+        poly[t - p] += d * poly[t]
+        poly[t] = 0
+    return RingElement(tuple(c % n for c in poly[:p]))
+
+
+def square_and_multiply(ctx: RingContext, a: RingElement, e: int) -> RingElement:
+    """Right-to-left binary exponentiation over schoolbook_mul."""
+    result = RingElement((1 % ctx.N,) + (0,) * (ctx.p - 1))
+    base = RingElement(tuple(c % ctx.N for c in a.coeffs))
+    while e:
+        if e & 1:
+            result = schoolbook_mul(ctx, result, base)
+        base = schoolbook_mul(ctx, base, base)
+        e >>= 1
+    return result
+
+
 def sieve_primes(limit: int) -> list[int]:
     flags = bytearray(b"\x01") * (limit + 1)
     flags[0:2] = b"\x00\x00"

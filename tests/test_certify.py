@@ -1,6 +1,7 @@
 """Certificate issuance and verification: projection, phases, verdicts, filter."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -18,16 +19,20 @@ from cyclocert import (
     is_probable_prime,
     make_context,
     one,
+    pth_residue,
     phase1_generate,
     phase2_cyclotomic,
     ring_pow,
+    structural_bound_ok,
     scalar,
     sprp_filter,
     theta,
     unitary_project,
     verify,
 )
-from cyclocert.reference import REFERENCE_CHAINS_DEGREE3
+from cyclocert import certify
+from cyclocert.ring import PRIME_DEGREES
+from cyclocert.reference import REFERENCE_CHAINS_DEGREE3, REFERENCE_CHAINS_DEGREE5
 from helpers import ScriptedDraws, sieve_primes, slow_pow
 
 
@@ -210,6 +215,99 @@ class TestVerify:
         row = REFERENCE_CHAINS_DEGREE3[0]
         cert = cert_for(row.N, row.q, row.k, certified_w(row.N, row.q, row.k))
         assert verify(cert) == verify(cert)
+
+
+def verify_with_filter(cert):
+    """verify as it was with the w^Phi_p(N) filter ahead of phase 2: the oracle."""
+    n, p, q, k, d = cert.N, cert.p, cert.q, cert.k, cert.d
+    if p not in PRIME_DEGREES or n < 2 or q < 2:
+        return Verdict(Outcome.REJECT, Reason.FORMAT)
+    if not structural_bound_ok(n, q, p):
+        return Verdict(Outcome.REJECT, Reason.BOUND)
+    if q % p != 1 or n % p != 1:
+        return Verdict(Outcome.REJECT, Reason.CONGRUENCE)
+    if gcd(n, p * d) != 1 or pth_residue(d, n, p):
+        return Verdict(Outcome.REJECT, Reason.RESIDUE)
+    phi = cyclotomic_value(n, p)
+    if k < 1 or k * q != phi:
+        return Verdict(Outcome.REJECT, Reason.FORMAT)
+    try:
+        ctx = make_context(n, p, d)
+    except ValueError:
+        return Verdict(Outcome.REJECT, Reason.FORMAT)
+    w = cert.w
+    if len(w.coeffs) != p or any(not 0 <= c < n for c in w.coeffs):
+        return Verdict(Outcome.REJECT, Reason.FORMAT)
+    if ring_pow(ctx, w, phi) != one(ctx):
+        return Verdict(Outcome.REJECT, Reason.FERMAT)
+    return phase2_cyclotomic(ctx, w, k, q)
+
+
+def _as_tuple(verdict):
+    return verdict.outcome, verdict.reason, verdict.witness
+
+
+def _reference_variants(row, seed):
+    """A certifying w for a reference chain, w with one coefficient changed, and a raw unit."""
+    w = certified_w(row.N, row.q, row.k, p=row.p, seed=seed)
+    tampered = list(w.coeffs)
+    tampered[seed % row.p] = (tampered[seed % row.p] + 1) % row.N
+    raw = tuple(random.Random(seed).randrange(row.N) for _ in range(row.p))
+    for coeffs in (w.coeffs, tuple(tampered), raw):
+        yield cert_for(row.N, row.q, row.k, RingElement(coeffs), p=row.p)
+
+
+class TestSingleChainVerdicts:
+    """verify's one exponentiation chain decides exactly as the w^Phi filter did."""
+
+    def assert_same(self, cert):
+        assert _as_tuple(verify(cert)) == _as_tuple(verify_with_filter(cert))
+
+    @pytest.mark.parametrize("rows", [REFERENCE_CHAINS_DEGREE3, REFERENCE_CHAINS_DEGREE5])
+    def test_reference_chains(self, rows):
+        outcomes = set()
+        for seed, row in enumerate(rows):
+            for cert in _reference_variants(row, seed):
+                self.assert_same(cert)
+                outcomes.add(_as_tuple(verify(cert)))
+        assert (Outcome.PRIME, None, None) in outcomes
+        assert (Outcome.REJECT, Reason.FERMAT, None) in outcomes
+
+    def test_soundness_corpus(self, monkeypatch):
+        # every certificate generate_certificate verifies for the criterion-4 seeds
+        pairs = []
+        single_chain = certify.verify
+
+        def both(cert):
+            verdict = single_chain(cert)
+            pairs.append((_as_tuple(verdict), _as_tuple(verify_with_filter(cert))))
+            return verdict
+
+        monkeypatch.setattr(certify, "verify", both)
+        for seed in range(100):
+            generate_certificate(64, p=3, rng=random.Random(seed))
+        assert len(pairs) >= 100
+        assert all(new == old for new, old in pairs)
+
+    def test_small_and_hostile_elements(self):
+        forged = cert_for(8299, 22960567, 3, RingElement((3434, 4865, 5635)))
+        assert verify(forged).outcome is Outcome.PRIME  # the open composite-seed hole
+        cases = [
+            forged,
+            cert_for(13, 61, 3, RingElement((2, 0, 0))),  # not unitary
+            cert_for(13, 61, 3, certified_w(13, 61, 3)),
+            cert_for(7, 19, 3, RingElement((4, 0, 0))),  # RETRY
+            # the N = 581 zero divisor, either way round; N ≡ 2 (mod 3) stops it early
+            cert_for(581, 17797, 19, RingElement((416, 249, 415))),
+            cert_for(581, 19, 17797, RingElement((416, 249, 415))),
+            # the forged w mod 43 and 1 mod 193, and the other way round: zero divisors
+            cert_for(8299, 22960567, 3, RingElement((2703, 5983, 7527))),
+            cert_for(8299, 22960567, 3, RingElement((732, 7181, 6407))),
+        ]
+        for cert in cases:
+            self.assert_same(cert)
+        witnesses = {verify(cert).witness for cert in cases[-2:]}
+        assert witnesses == {43, 193}
 
 
 class TestFermatAnalog:

@@ -156,6 +156,13 @@ class TestFilter:
         assert main(["filter", "--n", "11", "--d", "2", "--bases", "2"]) == 1
         assert "mod 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bases", [0, 2])
+    @pytest.mark.parametrize("d", [0, -2, 13, 14])
+    def test_refused_base_fails_cleanly(self, d, bases, capsys):
+        # d ≤ 0, d ≡ 0 and d ≡ 1 (mod n) are bases the ring context refuses
+        assert main(["filter", "--n", "13", "--d", str(d), "--bases", str(bases)]) == 1
+        assert "filter failed: " in capsys.readouterr().err
+
 
 class TestCarmichaelCommand:
     def test_empty_search(self, capsys):

@@ -24,7 +24,8 @@ from cyclocert import (
     unchecked_context,
     zero,
 )
-from helpers import slow_pow
+from cyclocert.ring import PRIME_DEGREES, _window_width
+from helpers import schoolbook_mul, slow_pow, square_and_multiply
 
 
 def ctx7():
@@ -142,6 +143,76 @@ class TestRingPow:
         combined = ring_pow(ctx, a, e1 + e2)
         split = ring_mul(ctx, ring_pow(ctx, a, e1), ring_pow(ctx, a, e2))
         assert combined == split
+
+
+def _width_boundaries(limit=1800):
+    """Exponent bit lengths at which the sliding-window width changes."""
+    return [bits for bits in range(2, limit + 1) if _window_width(bits) != _window_width(bits - 1)]
+
+
+# 0, 1, 2 and 2^j - 1, 2^j, 2^j + 1 on both sides of every width change
+BOUNDARY_EXPONENTS = sorted(
+    {0, 1, 2}
+    | {
+        (1 << j) + delta
+        for bits in _width_boundaries()
+        for j in (bits - 1, bits)
+        for delta in (-1, 0, 1)
+    }
+)
+
+# a few isolated set bits: long runs of zeros between short windows
+SPARSE_EXPONENTS = st.lists(st.integers(0, 600), min_size=1, max_size=4).map(
+    lambda positions: sum(1 << i for i in set(positions))
+)
+
+
+def _kernel_case(data):
+    p = data.draw(st.sampled_from(PRIME_DEGREES), label="p")
+    n = data.draw(st.integers(2, 2**80), label="N")
+    d = data.draw(st.integers(1, 2**16).filter(lambda v: v % n), label="d")
+    ctx = unchecked_context(n, p, d)
+    # coefficients outside [0, N) too: the kernel reduces what it is given
+    coeff = st.integers(-(2**90), 2**90)
+    a, b = (RingElement(tuple(data.draw(coeff) for _ in range(p))) for _ in range(2))
+    return ctx, a, b
+
+
+class TestKernelOracle:
+    """ring_mul and ring_pow against an independent schoolbook product."""
+
+    def test_width_boundaries_cover_every_width(self):
+        assert [_window_width(bits) for bits in _width_boundaries()] == list(range(2, 8))
+
+    @pytest.mark.parametrize("p", PRIME_DEGREES)
+    @pytest.mark.parametrize("n", [1009, 1024])
+    def test_boundary_exponents(self, p, n):
+        ctx = unchecked_context(n, p, 3)
+        a = element(ctx, range(2, p + 2))
+        for e in BOUNDARY_EXPONENTS:
+            assert ring_pow(ctx, a, e) == square_and_multiply(ctx, a, e), e
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_products_match_oracle(self, data):
+        ctx, a, b = _kernel_case(data)
+        assert ring_mul(ctx, a, b) == schoolbook_mul(ctx, a, b)
+        assert ring_mul(ctx, a, a) == schoolbook_mul(ctx, a, a)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_pow_matches_oracle(self, data):
+        ctx, a, _ = _kernel_case(data)
+        e = data.draw(
+            st.one_of(
+                st.sampled_from(BOUNDARY_EXPONENTS[:20]),
+                SPARSE_EXPONENTS,
+                st.integers(0, 2**600),
+            ),
+            label="e",
+        )
+        for exponent in (1, e):
+            assert ring_pow(ctx, a, exponent) == square_and_multiply(ctx, a, exponent)
 
 
 class TestRingNorm:
