@@ -10,6 +10,7 @@ for tiny N; the Korselt route only needs the factorization of N.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
@@ -19,7 +20,7 @@ from .ring import RingElement, UnitKind, classify_unit, one, ring_pow, unchecked
 
 FACTOR_LIMIT = 10**12
 DIRECT_LIMIT = 60
-SEARCH_LIMIT = 10**8
+SEARCH_LIMIT = 10**7
 
 _TRIAL_LIMIT = 10**6
 _trial_primes: list[int] | None = None
@@ -163,38 +164,30 @@ def carmichael_direct(n: int, d: int) -> bool:
 def search_carmichael(bound: int, d: int) -> list[CarmichaelReport]:
     """All composite n ≡ 1 (mod 3) up to bound with korselt_ok, ascending.
 
-    Uses a smallest-prime-factor sieve when the bound allows, so repeated
-    factorizations stay cheap; larger bounds fall back to per-candidate
-    factoring.
+    Factors every candidate through one smallest-prime-factor sieve up to
+    the bound, which is capped at SEARCH_LIMIT.
     """
     if bound > SEARCH_LIMIT:
         raise ValueError(f"search capped at {SEARCH_LIMIT}")
-    spf = None
-    if bound <= 10**7:
-        import array
-
-        spf = array.array("i", range(bound + 1))
-        i = 2
-        while i * i <= bound:
-            if spf[i] == i:
-                for j in range(i * i, bound + 1, i):
-                    if spf[j] == j:
-                        spf[j] = i
-            i += 1
+    spf = array("i", range(bound + 1))
+    i = 2
+    while i * i <= bound:
+        if spf[i] == i:
+            for j in range(i * i, bound + 1, i):
+                if spf[j] == j:
+                    spf[j] = i
+        i += 1
     hits = []
     for n in range(4, bound + 1):
         if n % 3 != 1 or gcd(n, 3 * d) != 1:
             continue
-        if spf is not None:
-            m = n
-            factors: dict[int, int] = {}
-            while m > 1:
-                p = spf[m]
-                factors[p] = factors.get(p, 0) + 1
-                m //= p
-            factor_items = sorted(factors.items())
-        else:
-            factor_items = factorize(n)
+        m = n
+        factors: dict[int, int] = {}
+        while m > 1:
+            p = spf[m]
+            factors[p] = factors.get(p, 0) + 1
+            m //= p
+        factor_items = sorted(factors.items())
         if len(factor_items) == 1 and factor_items[0][1] == 1:
             continue  # prime
         report = _report_from_factors(n, d, factor_items)

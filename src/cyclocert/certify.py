@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .chain import forward_search, reversed_construct, select_base_d, structural_bound_ok
+from .chain import reversed_construct, select_base_d, structural_bound_ok
 from .numtheory import SeedTrust, monogenic_ok, pth_residue
 from .ring import (
     PRIME_DEGREES,
@@ -36,6 +36,10 @@ from .ring import (
 )
 
 CERT_FORMAT_VERSION = "1"
+# candidates generate_certificate constructs before it gives up
+MAX_ROUNDS = 64
+# phase-1 draws per candidate while phase 2 answers RETRY
+PHASE1_RETRIES = 8
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,7 @@ def phase1_generate(ctx: RingContext, rng: random.Random, max_tries: int = 64) -
 
     A zero divisor among the draws is promoted to COMPOSITE with the factor
     it exposes; zero draws and projections landing on 1 are redrawn.  The
-    caller is responsible for the structural bound and for disc_ok.
+    caller is responsible for the structural bound and for gcd(N, p·d) = 1.
     """
     n = ctx.N
     for _ in range(max_tries):
@@ -142,6 +146,10 @@ def phase2_cyclotomic(ctx: RingContext, w: RingElement, k: int, q: int) -> Verdi
     return Verdict(Outcome.COMPOSITE, Reason.ZERO_DIVISOR, witness=g)
 
 
+def _base_compatible(n: int, p: int, d: int) -> bool:
+    return gcd(n, p * d) == 1 and not pth_residue(d, n, p)
+
+
 def verify(cert: Certificate) -> Verdict:
     """Non-recursive certificate check with one full-size exponentiation chain.
 
@@ -164,9 +172,7 @@ def verify(cert: Certificate) -> Verdict:
     if n % p != 1:
         # the residue exponent (N-1)/p would not even be defined
         return Verdict(Outcome.REJECT, Reason.CONGRUENCE)
-    if gcd(n, p * d) != 1:
-        return Verdict(Outcome.REJECT, Reason.RESIDUE)
-    if pth_residue(d, n, p):
+    if not _base_compatible(n, p, d):
         return Verdict(Outcome.REJECT, Reason.RESIDUE)
     phi = cyclotomic_value(n, p)
     if k < 1 or k * q != phi:
@@ -190,31 +196,23 @@ def sprp_filter(N: int, d: int, z: RingElement, k: int, p_seed: int, ell: int) -
     Requires the factorization N² + N + 1 = k · p_seed^ell.  With
     w = z^(N-1), the filter passes when w^k = 1, or when some j < ell gives
     X = w^(k·p_seed^j) with X^p_seed = 1 and gcd(norm(X - 1), N) = 1, the
-    zero-divisor-free witness that Phi_p_seed(X) ≡ 0.  The generation
-    pipeline calls this with p_seed = q and ell = 1.
+    zero-divisor-free witness that Phi_p_seed(X) ≡ 0.  Each j is one
+    phase-2 check with k·p_seed^j in place of k.  The generation pipeline
+    calls this with p_seed = q and ell = 1.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
     if k < 1 or k * p_seed**ell != cyclotomic_value(N, 3):
         raise ValueError("factorization N^2+N+1 = k * p_seed^ell does not hold")
     ctx = make_context(N, 3, d)
-    base = element(ctx, z.coeffs)
-    if is_zero(base):
-        raise ValueError("base element must be nonzero")
-    w = ring_pow(ctx, base, N - 1)
-    x = ring_pow(ctx, w, k)
-    if x == one(ctx):
+    w = unitary_project(ctx, element(ctx, z.coeffs))
+    # with q = 1 phase 2 answers RETRY exactly when X = w^k is 1
+    if phase2_cyclotomic(ctx, w, k, 1).outcome is Outcome.RETRY:
         return True
-    for _ in range(ell):
-        x_next = ring_pow(ctx, x, p_seed)
-        if x_next == one(ctx) and gcd(ring_norm(ctx, ring_sub(ctx, x, one(ctx))), N) == 1:
-            return True
-        x = x_next
-    return False
-
-
-def _base_compatible(n: int, p: int, d: int) -> bool:
-    return gcd(n, p * d) == 1 and not pth_residue(d, n, p)
+    return any(
+        phase2_cyclotomic(ctx, w, k * p_seed**j, p_seed).outcome is Outcome.PRIME
+        for j in range(ell)
+    )
 
 
 def generate_certificate(
@@ -222,12 +220,7 @@ def generate_certificate(
     p: int = 3,
     d: int | None = None,
     k_max: int = 10_000,
-    mode: str = "reversed",
     rng: random.Random | None = None,
-    attempt_budget: int = 100_000,
-    max_rounds: int = 64,
-    phase1_tries: int = 64,
-    phase1_retries: int = 8,
     verdict_log: list[tuple[int, Verdict]] | None = None,
 ) -> Certificate:
     """Full pipeline: construct a candidate, project a unitary, verify PRIME.
@@ -238,26 +231,15 @@ def generate_certificate(
     (N, verdict) pair when given.  All randomness flows from the single rng,
     so a fixed seed reproduces the certificate bit for bit.
     """
-    if mode not in ("reversed", "forward"):
-        raise ValueError("mode must be 'reversed' or 'forward'")
     if rng is None:
         rng = random.Random(0)
     if d is not None and not monogenic_ok(d, p):
         raise ValueError(f"base d = {d} does not admit power-basis arithmetic")
-    for _ in range(max_rounds):
-        if mode == "reversed":
-            chain = reversed_construct(
-                target_bits, p, k_max=k_max, rng=rng, attempt_budget=attempt_budget
-            )
-        else:
-            if p != 3:
-                raise ValueError("forward mode is specific to degree 3")
-            chain = forward_search(target_bits, rng=rng, attempt_budget=attempt_budget)
+    for _ in range(MAX_ROUNDS):
+        chain = reversed_construct(target_bits, p, k_max=k_max, rng=rng)
         if not chain.accepted:
             raise GenerationError(f"no candidate found within budget ({chain.status.value})")
         n, q, k = chain.N, chain.q, chain.k
-        if n % 2 == 0 or n <= 3:
-            continue  # forward roots can land on even N, which cannot host the ring
         if d is None:
             try:
                 d_used = select_base_d(n, p)
@@ -268,8 +250,8 @@ def generate_certificate(
                 continue  # candidate incompatible with the fixed base; resample
             d_used = d
         ctx = make_context(n, p, d_used)
-        for _ in range(phase1_retries):
-            result = phase1_generate(ctx, rng, max_tries=phase1_tries)
+        for _ in range(PHASE1_RETRIES):
+            result = phase1_generate(ctx, rng)
             if result.status is Phase1Status.COMPOSITE:
                 if verdict_log is not None:
                     verdict_log.append(

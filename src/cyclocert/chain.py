@@ -1,12 +1,10 @@
 """Candidate construction: pairs (N, q, k) with Phi_p(N) = k·q.
 
-Two directions are implemented.  The forward direction derives N from a seed
-prime q via the odd square root of -3 mod q; it only lands on a target bit
-length when that root happens to be small, so it is practical for small
-sizes only.  The reversed direction searches sieved windows of N for one
-where Phi_p(N) is a large prime q times a small cofactor k; it is the
-default and is what reproduces the reference tables, where q is close to
-N^(p-1).
+Generation searches sieved windows of N for one where Phi_p(N) is a large
+prime q times a small cofactor k; this is what reproduces the reference
+tables, where q is close to N^(p-1).  The paper's forward construction,
+which derives N from a given seed prime q via the odd square root of -3
+mod q, is kept for degree 3.
 """
 
 from __future__ import annotations
@@ -24,13 +22,12 @@ from .numtheory import (
     SeedPrime,
     _sieve,
     is_probable_prime,
-    make_seed,
     monogenic_ok,
     pth_residue,
     smooth_part,
     sqrt_minus3,
 )
-from .ring import cyclotomic_value
+from .ring import PRIME_DEGREES, cyclotomic_value
 
 DEFAULT_K_MAX = 10_000
 DEFAULT_ATTEMPT_BUDGET = 100_000
@@ -41,10 +38,8 @@ SIEVE_WINDOW = 4096
 
 class ChainStatus(Enum):
     ACCEPTED = "ACCEPTED"
-    REJECT_BITLENGTH = "REJECT_BITLENGTH"
     REJECT_CONGRUENCE = "REJECT_CONGRUENCE"
     REJECT_BOUND = "REJECT_BOUND"
-    REJECT_GCD = "REJECT_GCD"
     REJECT_NO_SEED = "REJECT_NO_SEED"
 
 
@@ -75,31 +70,26 @@ def structural_bound_ok(N: int, q: int, p: int) -> bool:
     return (q + 1) ** 2 > N**p
 
 
-def forward_construct(seed: SeedPrime, p: int = 3, target_bits: int | None = None) -> ChainResult:
-    """Build N from a seed prime q ≡ 1 (mod 3) via the odd root of -3.
+def forward_construct(seed: SeedPrime) -> ChainResult:
+    """Build N from a seed prime q ≡ 1 (mod 3) via the odd root of -3 (degree 3).
 
     Both roots of -3 mod q sum to q, so exactly one is odd; with S that odd
     root, N = (S-1)/2 satisfies q | N² + N + 1 unconditionally.  Acceptance
-    additionally needs N ≡ 1 (mod 3), the target bit length when given, and
-    the structural bound.
+    additionally needs N ≡ 1 (mod 3) and the structural bound.
     """
-    if p != 3:
-        raise ValueError("forward construction is specific to degree 3")
     q = seed.q
     roots = sqrt_minus3(q)
     s = roots[0] if roots[0] % 2 == 1 else roots[1]
     n = (s - 1) // 2
-    phi = cyclotomic_value(n, p)
+    phi = cyclotomic_value(n, 3)
     k, rem = divmod(phi, q)
     if rem != 0:
         raise ArithmeticError("odd root construction must divide the cyclotomic value")
     if n % 3 != 1:
-        return ChainResult(ChainStatus.REJECT_CONGRUENCE, p=p, N=n, q=q, k=k)
-    if target_bits is not None and n.bit_length() != target_bits:
-        return ChainResult(ChainStatus.REJECT_BITLENGTH, p=p, N=n, q=q, k=k)
-    if not structural_bound_ok(n, q, p):
-        return ChainResult(ChainStatus.REJECT_BOUND, p=p, N=n, q=q, k=k)
-    return ChainResult(ChainStatus.ACCEPTED, p=p, N=n, q=q, k=k)
+        return ChainResult(ChainStatus.REJECT_CONGRUENCE, p=3, N=n, q=q, k=k)
+    if not structural_bound_ok(n, q, 3):
+        return ChainResult(ChainStatus.REJECT_BOUND, p=3, N=n, q=q, k=k)
+    return ChainResult(ChainStatus.ACCEPTED, p=3, N=n, q=q, k=k)
 
 
 def _sample_candidate(rng: random.Random, bits: int, p: int) -> int | None:
@@ -226,6 +216,8 @@ def reversed_construct(
     the first that certifies is returned.  attempt_budget counts window
     positions.
     """
+    if p not in PRIME_DEGREES:
+        raise ValueError(f"degree must be one of {PRIME_DEGREES}")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     if target_bits < 3:
@@ -249,41 +241,6 @@ def reversed_construct(
             if split is not None:
                 return ChainResult(ChainStatus.ACCEPTED, p=p, N=n, q=split[1], k=split[0])
     return ChainResult(ChainStatus.REJECT_NO_SEED, p=p)
-
-
-def random_seed_prime(rng: random.Random, bits: int, rounds: int = 20) -> SeedPrime:
-    """Random probable prime q ≡ 1 (mod 3) with the exact bit length."""
-    while True:
-        r = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        q = r - ((r - 1) % 6)  # q ≡ 1 (mod 6)
-        if q.bit_length() != bits or q <= 7:
-            continue
-        if is_probable_prime(q, rounds=rounds):
-            return make_seed(q, 3)
-
-
-def forward_search(
-    target_bits: int,
-    rng: random.Random | None = None,
-    attempt_budget: int = DEFAULT_ATTEMPT_BUDGET,
-) -> ChainResult:
-    """Drive forward_construct over random seeds until one lands on target.
-
-    The odd root of -3 is essentially uniform in (0, q), so the chance that
-    N = (S-1)/2 has exactly the target bit length falls off exponentially;
-    this search is only practical for small targets.
-    """
-    if rng is None:
-        rng = random.Random(0)
-    seed_bits = (3 * target_bits + 1) // 2 + 1  # q strictly above 2^(1.5 L)
-    last = ChainResult(ChainStatus.REJECT_NO_SEED, p=3)
-    for _ in range(attempt_budget):
-        seed = random_seed_prime(rng, seed_bits, rounds=4)
-        result = forward_construct(seed, 3, target_bits=target_bits)
-        if result.accepted:
-            return result
-        last = result
-    return ChainResult(ChainStatus.REJECT_NO_SEED, p=3, N=last.N, q=last.q, k=last.k)
 
 
 def select_base_d(N: int, p: int, d_max: int = 1000) -> int:

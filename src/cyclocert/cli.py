@@ -50,11 +50,9 @@ def _verdict_line(verdict: Verdict) -> str:
 
 def _cmd_generate(args) -> int:
     rng = random.Random(args.rng_seed)
-    d = None if args.d == "auto" else int(args.d)
     try:
-        cert = generate_certificate(
-            args.bits, p=args.degree, d=d, k_max=args.k_max, mode=args.mode, rng=rng
-        )
+        d = None if args.d == "auto" else int(args.d)
+        cert = generate_certificate(args.bits, p=args.degree, d=d, k_max=args.k_max, rng=rng)
     except (GenerationError, ValueError) as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
         return 1
@@ -132,8 +130,8 @@ def _cmd_carmichael(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(b) for b in args.bits.split(",")]
     try:
+        sizes = [int(b) for b in args.bits.split(",")]
         report = run_bench(sizes, p=args.degree, rng_seed=args.rng_seed)
     except (ValueError, GenerationError) as exc:
         print(f"bench failed: {exc}", file=sys.stderr)
@@ -148,6 +146,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_roots(args) -> int:
+    if not (is_probable_prime(args.p) and is_probable_prime(args.q)):
+        print("roots failed: p and q must be primes", file=sys.stderr)
+        return 1
     try:
         roots = cyclotomic_roots(args.p, args.q)
     except ValueError as exc:
@@ -169,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--degree", type=int, default=3, help="prime ring degree p")
     g.add_argument("--d", default="auto", help="ring base: 'auto' or an integer")
     g.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, help="largest cofactor k allowed")
-    g.add_argument("--mode", choices=("reversed", "forward"), default="reversed")
     g.add_argument("--rng-seed", type=int, default=0)
     g.add_argument("--out", help="write the certificate file here instead of stdout")
     g.set_defaults(func=_cmd_generate)

@@ -1,9 +1,10 @@
 """Scalar modular number theory used throughout the chain.
 
-Modular exponentiation, square roots of -3, p-th power residue testing,
-probable-prime testing, and the power-basis admissibility predicate for the
-ring base d. All functions are pure; randomized routines take a caller-owned
-``random.Random`` so runs are reproducible.
+Square roots of -3, p-th power residue testing, probable-prime testing,
+smooth parts, and the power-basis admissibility predicate for the ring base
+d. All functions are pure; randomized routines draw from a
+``random.Random`` seeded by their input or owned by the caller, so runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -58,15 +59,6 @@ def make_seed(q: int, p: int, trust: SeedTrust = SeedTrust.PROBABLE) -> SeedPrim
     return SeedPrime(q=q, trust=trust, congruence_class=q % p)
 
 
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus by binary exponentiation."""
-    if modulus < 2:
-        raise ValueError("modulus must be at least 2")
-    if exp < 0:
-        raise ValueError("exponent must be nonnegative")
-    return pow(base, exp, modulus)
-
-
 def _strong_test(n: int, a: int) -> bool:
     # strong Fermat test to base a; n odd, n > 2
     d = n - 1
@@ -84,9 +76,9 @@ def _strong_test(n: int, a: int) -> bool:
     return False
 
 
-def is_probable_prime(n: int, rounds: int = 20, rng: random.Random | None = None) -> bool:
+def is_probable_prime(n: int, rounds: int = 20) -> bool:
     """Probable-prime test: trial division, a base-2 strong test, then
-    ``rounds`` randomized strong tests.
+    ``rounds`` strong tests to bases drawn from ``random.Random(n)``.
 
     False means certainly composite.  For n below the square of the trial
     division limit the answer is exact.
@@ -99,8 +91,7 @@ def is_probable_prime(n: int, rounds: int = 20, rng: random.Random | None = None
         return True
     if not _strong_test(n, 2):
         return False
-    if rng is None:
-        rng = random.Random(n)  # deterministic per candidate, no global state
+    rng = random.Random(n)  # deterministic per candidate, no global state
     for _ in range(rounds):
         a = rng.randrange(2, n - 1)
         if not _strong_test(n, a):

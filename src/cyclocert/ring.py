@@ -27,16 +27,13 @@ PRIME_DEGREES = (3, 5, 7, 11, 13)
 class RingContext:
     """Ring description: modulus N, prime degree p, reduction base d.
 
-    ``phi_p_n`` caches the cyclotomic value N^(p-1) + ... + N + 1 and
-    ``disc_ok`` records gcd(N, p*d) = 1, the condition for the ring to have
-    usable discriminant data.
+    ``phi_p_n`` caches the cyclotomic value N^(p-1) + ... + N + 1.
     """
 
     N: int
     p: int
     d: int
     phi_p_n: int
-    disc_ok: bool
 
 
 @dataclass(frozen=True)
@@ -59,13 +56,7 @@ def _build_context(N: int, p: int, d: int) -> RingContext:
     d_red = d % N
     if d_red == 0:
         raise ValueError("degenerate base: d ≡ 0 (mod N)")
-    return RingContext(
-        N=N,
-        p=p,
-        d=d_red,
-        phi_p_n=cyclotomic_value(N, p),
-        disc_ok=gcd(N, p * d_red) == 1,
-    )
+    return RingContext(N=N, p=p, d=d_red, phi_p_n=cyclotomic_value(N, p))
 
 
 def make_context(N: int, p: int, d: int) -> RingContext:
@@ -113,11 +104,6 @@ def scalar(ctx: RingContext, c: int) -> RingElement:
 
 def is_zero(a: RingElement) -> bool:
     return all(c == 0 for c in a.coeffs)
-
-
-def ring_add(ctx: RingContext, a: RingElement, b: RingElement) -> RingElement:
-    N = ctx.N
-    return RingElement(tuple((x + y) % N for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def ring_sub(ctx: RingContext, a: RingElement, b: RingElement) -> RingElement:

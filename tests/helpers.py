@@ -2,7 +2,20 @@
 
 from __future__ import annotations
 
-from cyclocert import RingContext, RingElement, ring_mul
+from math import gcd
+
+from cyclocert import (
+    RingContext,
+    RingElement,
+    cyclotomic_value,
+    element,
+    make_context,
+    one,
+    ring_mul,
+    ring_norm,
+    ring_pow,
+)
+from cyclocert.ring import is_zero, ring_sub
 
 
 class ScriptedBits:
@@ -62,6 +75,32 @@ def square_and_multiply(ctx: RingContext, a: RingElement, e: int) -> RingElement
         base = schoolbook_mul(ctx, base, base)
         e >>= 1
     return result
+
+
+def sprp_filter_loop(N: int, d: int, z: RingElement, k: int, p_seed: int, ell: int) -> bool:
+    """The ring filter as one exponentiation loop; the oracle for sprp_filter.
+
+    w = z^(N-1) and X = w^k; pass when X = 1, or when some step X -> X^p_seed
+    reaches 1 from an X with gcd(norm(X - 1), N) = 1.
+    """
+    if ell < 1:
+        raise ValueError("ell must be at least 1")
+    if k < 1 or k * p_seed**ell != cyclotomic_value(N, 3):
+        raise ValueError("factorization N^2+N+1 = k * p_seed^ell does not hold")
+    ctx = make_context(N, 3, d)
+    base = element(ctx, z.coeffs)
+    if is_zero(base):
+        raise ValueError("base element must be nonzero")
+    w = ring_pow(ctx, base, N - 1)
+    x = ring_pow(ctx, w, k)
+    if x == one(ctx):
+        return True
+    for _ in range(ell):
+        x_next = ring_pow(ctx, x, p_seed)
+        if x_next == one(ctx) and gcd(ring_norm(ctx, ring_sub(ctx, x, one(ctx))), N) == 1:
+            return True
+        x = x_next
+    return False
 
 
 def sieve_primes(limit: int) -> list[int]:

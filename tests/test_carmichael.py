@@ -129,8 +129,9 @@ class TestSearchCarmichael:
         assert search_carmichael(10**6, 2) == []
 
     def test_bound_cap(self):
-        with pytest.raises(ValueError):
-            search_carmichael(10**8 + 1, 2)
+        for bound in (10**7 + 1, 10**8 + 1):
+            with pytest.raises(ValueError):
+                search_carmichael(bound, 2)
 
     def test_hits_would_satisfy_invariant(self):
         # any emitted report must be squarefree with the divisibility facts

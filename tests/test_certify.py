@@ -15,6 +15,7 @@ from cyclocert import (
     Verdict,
     cyclotomic_value,
     element,
+    factorize,
     generate_certificate,
     is_probable_prime,
     make_context,
@@ -33,7 +34,7 @@ from cyclocert import (
 from cyclocert import certify
 from cyclocert.ring import PRIME_DEGREES
 from cyclocert.reference import REFERENCE_CHAINS_DEGREE3, REFERENCE_CHAINS_DEGREE5
-from helpers import ScriptedDraws, sieve_primes, slow_pow
+from helpers import ScriptedDraws, sieve_primes, slow_pow, sprp_filter_loop
 
 
 def cert_for(n, q, k, w, p=3, d=2):
@@ -396,6 +397,29 @@ class TestSprpFilter:
                 assert sprp_filter(n, d, RingElement(coeffs), k, p_seed, ell) is True
                 checked += 1
 
+    def test_matches_exponentiation_loop(self):
+        # (1, 0, 0) projects to w = 1, so w^k = 1; (0, 0, 0) raises ValueError
+        elements = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 1, 1), (2, 3, 5), (0, 0, 0)]
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except ValueError:
+                return ValueError
+
+        seen = set()
+        # make_context(n, 3, 2) accepts every odd n > 3, composites included
+        for n in range(7, 2000, 6):
+            phi = cyclotomic_value(n, 3)
+            for p_seed, ell in factorize(phi):
+                k = phi // p_seed**ell
+                for coeffs in elements:
+                    args = (n, 2, RingElement(coeffs), k, p_seed, ell)
+                    expected = outcome(sprp_filter_loop, *args)
+                    assert outcome(sprp_filter, *args) is expected, args
+                    seen.add(expected)
+        assert seen == {True, False, ValueError}
+
 
 class TestGenerateCertificate:
     def test_deterministic_for_fixed_seed(self):
@@ -431,11 +455,7 @@ class TestGenerateCertificate:
         assert cert.p == 7
         assert verify(cert).outcome is Outcome.PRIME
 
-    def test_forward_mode_small(self):
-        cert = generate_certificate(12, mode="forward", rng=random.Random(3))
-        assert verify(cert).outcome is Outcome.PRIME
-        assert cert.N.bit_length() == 12
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            generate_certificate(32, mode="sideways")
+    @pytest.mark.parametrize("p", [-3, 0, 1, 2, 4, 9, 15, 17])
+    def test_unsupported_degree_refused_before_search(self, p):
+        with pytest.raises(ValueError, match="degree must be one of"):
+            generate_certificate(32, p=p, rng=random.Random(0))

@@ -1,4 +1,4 @@
-"""Construction chain: forward and reversed candidate search, bounds, bases."""
+"""Construction chain: the forward construction, the sieved search, bounds, bases."""
 
 import random
 from math import gcd
@@ -10,7 +10,6 @@ from cyclocert import (
     cyclotomic_roots,
     cyclotomic_value,
     forward_construct,
-    forward_search,
     is_probable_prime,
     make_seed,
     reversed_construct,
@@ -21,7 +20,6 @@ from cyclocert.chain import (
     SIEVE_BOUND,
     candidate_split,
     cofactor_split,
-    random_seed_prime,
     sieve_window,
 )
 from cyclocert.reference import REFERENCE_CHAINS_DEGREE3, REFERENCE_CHAINS_DEGREE5
@@ -59,14 +57,6 @@ class TestForwardConstruct:
         result = forward_construct(make_seed(7, 3))
         assert result.status is ChainStatus.REJECT_CONGRUENCE
         assert result.N == 2
-
-    def test_target_bits_mismatch(self):
-        result = forward_construct(make_seed(19, 3), target_bits=10)
-        assert result.status is ChainStatus.REJECT_BITLENGTH
-
-    def test_degree_other_than_three_rejected(self):
-        with pytest.raises(ValueError):
-            forward_construct(make_seed(31, 5), p=5)
 
     def test_seed_congruence_propagates(self):
         with pytest.raises(ValueError):
@@ -275,20 +265,3 @@ class TestCyclotomicRoots:
         for p, q in [(3, 13), (3, 31), (5, 31), (7, 29)]:
             expected = {n for n in range(1, q) if cyclotomic_value(n, p) % q == 0}
             assert cyclotomic_roots(p, q) == expected
-
-
-class TestForwardSearch:
-    def test_finds_small_target(self):
-        result = forward_search(10, rng=random.Random(0))
-        assert result.accepted
-        assert result.N.bit_length() == 10
-        assert cyclotomic_value(result.N, 3) % result.q == 0
-        assert structural_bound_ok(result.N, result.q, 3)
-
-    def test_seed_sampler_properties(self):
-        rng = random.Random(4)
-        for _ in range(20):
-            seed = random_seed_prime(rng, 24)
-            assert seed.q.bit_length() == 24
-            assert seed.q % 6 == 1
-            assert is_probable_prime(seed.q)

@@ -79,14 +79,14 @@ class TestGenerate:
         cert = cert_decode(capsys.readouterr().out)
         assert cert.d == 2
 
-    def test_forward_mode_small(self, capsys):
-        assert main(["generate", "--bits", "12", "--mode", "forward", "--rng-seed", "1"]) == 0
-        cert = cert_decode(capsys.readouterr().out)
-        assert cert.N.bit_length() == 12
-
     def test_bad_base_fails(self, capsys):
         assert main(["generate", "--bits", "32", "--d", "12"]) == 1
         assert "generation failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("degree", ["-3", "0", "1", "2", "4", "9", "15", "17"])
+    def test_unsupported_degree_fails(self, degree, capsys):
+        assert main(["generate", "--bits", "32", "--degree", degree]) == 1
+        assert "degree must be one of" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -191,3 +191,25 @@ class TestRootsCommand:
     def test_congruence_error(self, capsys):
         assert main(["roots", "--p", "3", "--q", "5"]) == 1
         assert "roots failed" in capsys.readouterr().err
+
+    def test_p3_q19(self, capsys):
+        assert main(["roots", "--p", "3", "--q", "19"]) == 0
+        assert capsys.readouterr().out.strip() == "7 11"
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--bits", "32", "--d", "abc"],
+            ["bench", "--bits", "64,x"],
+            ["roots", "--p", "3", "--q", "1"],
+            ["roots", "--p", "4", "--q", "5"],  # 4 has order 2 mod 5
+            ["roots", "--p", "3", "--q", "25"],  # 6 and 11 are no roots mod 25
+        ],
+    )
+    def test_one_line_on_stderr(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "failed" in captured.err

@@ -8,7 +8,6 @@ from cyclocert import (
     SeedTrust,
     is_probable_prime,
     make_seed,
-    mod_pow,
     monogenic_ok,
     pth_residue,
     sqrt_minus3,
@@ -16,26 +15,6 @@ from cyclocert import (
 from cyclocert.numtheory import smooth_part
 from cyclocert.reference import REFERENCE_CHAINS_DEGREE3
 from helpers import sieve_primes
-
-
-class TestModPow:
-    def test_small_cube_check(self):
-        assert mod_pow(2, 2, 7) == 4
-
-    @pytest.mark.parametrize("x,m", [(5, 2), (0, 7), (123456, 1000)])
-    def test_zero_exponent(self, x, m):
-        assert mod_pow(x, 0, m) == 1
-
-    def test_order_five_element(self):
-        assert mod_pow(6, 31, 25) == 6
-
-    def test_bad_modulus(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, 1)
-
-    def test_negative_exponent(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, -1, 7)
 
 
 class TestSqrtMinus3:

@@ -36,7 +36,6 @@ class TestMakeContext:
     def test_small_cubic_context(self):
         ctx = ctx7()
         assert ctx.phi_p_n == 57
-        assert ctx.disc_ok
 
     def test_degenerate_base_rejected(self):
         with pytest.raises(ValueError):
