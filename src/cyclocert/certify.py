@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .chain import reversed_construct, select_base_d, structural_bound_ok
+from .chain import reversed_construct, structural_bound_ok
 from .numtheory import SeedTrust, monogenic_ok, pth_residue
 from .ring import (
     PRIME_DEGREES,
@@ -40,6 +40,10 @@ CERT_FORMAT_VERSION = "1"
 MAX_ROUNDS = 64
 # phase-1 draws per candidate while phase 2 answers RETRY
 PHASE1_RETRIES = 8
+# random elements one phase-1 call draws before it reports EXHAUSTED
+PHASE1_TRIES = 64
+# largest base select_base_d tries
+BASE_D_MAX = 1000
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,7 @@ class Phase1Result:
     witness: int | None = None
 
 
-def phase1_generate(ctx: RingContext, rng: random.Random, max_tries: int = 64) -> Phase1Result:
+def phase1_generate(ctx: RingContext, rng: random.Random) -> Phase1Result:
     """Draw random elements until one projects to a usable unitary w ≠ 1.
 
     A zero divisor among the draws is promoted to COMPOSITE with the factor
@@ -114,7 +118,7 @@ def phase1_generate(ctx: RingContext, rng: random.Random, max_tries: int = 64) -
     caller is responsible for the structural bound and for gcd(N, p·d) = 1.
     """
     n = ctx.N
-    for _ in range(max_tries):
+    for _ in range(PHASE1_TRIES):
         z = RingElement(tuple(rng.randrange(n) for _ in range(ctx.p)))
         cls = classify_unit(ctx, z)
         if cls.kind is UnitKind.ZERO_DIVISOR:
@@ -148,6 +152,20 @@ def phase2_cyclotomic(ctx: RingContext, w: RingElement, k: int, q: int) -> Verdi
 
 def _base_compatible(n: int, p: int, d: int) -> bool:
     return gcd(n, p * d) == 1 and not pth_residue(d, n, p)
+
+
+def select_base_d(N: int, p: int) -> int:
+    """Smallest admissible base d in [2, BASE_D_MAX] for the candidate N.
+
+    Admissible means: power-basis predicate holds, gcd(N, p·d) = 1, and d is
+    not a p-th power residue mod N.
+    """
+    if N % p != 1:
+        raise ValueError("require N ≡ 1 (mod p)")
+    for d in range(2, BASE_D_MAX + 1):
+        if monogenic_ok(d, p) and _base_compatible(N, p, d):
+            return d
+    raise ValueError(f"no admissible base d <= {BASE_D_MAX} for N = {N}")
 
 
 def verify(cert: Certificate) -> Verdict:
@@ -231,6 +249,8 @@ def generate_certificate(
     (N, verdict) pair when given.  All randomness flows from the single rng,
     so a fixed seed reproduces the certificate bit for bit.
     """
+    if p not in PRIME_DEGREES:
+        raise ValueError(f"degree must be one of {PRIME_DEGREES}")
     if rng is None:
         rng = random.Random(0)
     if d is not None and not monogenic_ok(d, p):

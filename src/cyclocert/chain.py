@@ -3,8 +3,8 @@
 Generation searches sieved windows of N for one where Phi_p(N) is a large
 prime q times a small cofactor k; this is what reproduces the reference
 tables, where q is close to N^(p-1).  The paper's forward construction,
-which derives N from a given seed prime q via the odd square root of -3
-mod q, is kept for degree 3.
+which derives N from a given seed prime q as a cube root of unity mod q,
+is kept for degree 3.
 """
 
 from __future__ import annotations
@@ -16,21 +16,14 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import compress
-from math import gcd, isqrt
+from math import isqrt
 
-from .numtheory import (
-    SeedPrime,
-    _sieve,
-    is_probable_prime,
-    monogenic_ok,
-    pth_residue,
-    smooth_part,
-    sqrt_minus3,
-)
+from .numtheory import _sieve, cyclotomic_roots, is_probable_prime, smooth_part
 from .ring import PRIME_DEGREES, cyclotomic_value
 
 DEFAULT_K_MAX = 10_000
-DEFAULT_ATTEMPT_BUDGET = 100_000
+# window positions reversed_construct covers before it gives up
+ATTEMPT_BUDGET = 100_000
 # primes up to SIEVE_BOUND strike window positions; array("H") holds them
 SIEVE_BOUND = 1 << 15
 SIEVE_WINDOW = 4096
@@ -70,17 +63,15 @@ def structural_bound_ok(N: int, q: int, p: int) -> bool:
     return (q + 1) ** 2 > N**p
 
 
-def forward_construct(seed: SeedPrime) -> ChainResult:
-    """Build N from a seed prime q ≡ 1 (mod 3) via the odd root of -3 (degree 3).
+def forward_construct(q: int) -> ChainResult:
+    """Build N from a seed prime q ≡ 1 (mod 3) as the smaller root of Phi_3 mod q.
 
-    Both roots of -3 mod q sum to q, so exactly one is odd; with S that odd
-    root, N = (S-1)/2 satisfies q | N² + N + 1 unconditionally.  Acceptance
+    The paper takes N = (S-1)/2 for the odd root S of -3 mod q.  Since
+    S² + 3 = 4(N² + N + 1), that N is a root of Phi_3 mod q; the two roots
+    sum to q - 1, and S = 2N + 1 < q picks the smaller.  Acceptance
     additionally needs N ≡ 1 (mod 3) and the structural bound.
     """
-    q = seed.q
-    roots = sqrt_minus3(q)
-    s = roots[0] if roots[0] % 2 == 1 else roots[1]
-    n = (s - 1) // 2
+    n = min(cyclotomic_roots(3, q))
     phi = cyclotomic_value(n, 3)
     k, rem = divmod(phi, q)
     if rem != 0:
@@ -206,14 +197,13 @@ def reversed_construct(
     p: int,
     k_max: int = DEFAULT_K_MAX,
     rng: random.Random | None = None,
-    attempt_budget: int = DEFAULT_ATTEMPT_BUDGET,
 ) -> ChainResult:
     """Incremental search for N ≡ 1 (mod 2p) of the target size with Phi_p(N) = k·q.
 
     Each window starts at a random N and covers up to SIEVE_WINDOW values
     N, N + 2p, ... of the same bit length.  The window is sieved (see
     sieve_window), and the survivors are tried in order by candidate_split;
-    the first that certifies is returned.  attempt_budget counts window
+    the first that certifies is returned.  ATTEMPT_BUDGET counts window
     positions.
     """
     if p not in PRIME_DEGREES:
@@ -226,7 +216,7 @@ def reversed_construct(
         rng = random.Random(0)
     step = 2 * p
     top = 1 << target_bits
-    left = attempt_budget
+    left = ATTEMPT_BUDGET
     while left > 0:
         start = _sample_candidate(rng, target_bits, p)
         if start is None:
@@ -241,45 +231,3 @@ def reversed_construct(
             if split is not None:
                 return ChainResult(ChainStatus.ACCEPTED, p=p, N=n, q=split[1], k=split[0])
     return ChainResult(ChainStatus.REJECT_NO_SEED, p=p)
-
-
-def select_base_d(N: int, p: int, d_max: int = 1000) -> int:
-    """Smallest admissible base d in [2, d_max] for the candidate N.
-
-    Admissible means: power-basis predicate holds, gcd(N, p·d) = 1, and d is
-    not a p-th power residue mod N.
-    """
-    if N % p != 1:
-        raise ValueError("require N ≡ 1 (mod p)")
-    for d in range(2, d_max + 1):
-        if not monogenic_ok(d, p):
-            continue
-        if gcd(N, p * d) != 1:
-            continue
-        if not pth_residue(d, N, p):
-            return d
-    raise ValueError(f"no admissible base d <= {d_max} for N = {N}")
-
-
-def cyclotomic_roots(p: int, q: int) -> set[int]:
-    """All residues N mod q with Phi_p(N) ≡ 0, i.e. of multiplicative order p.
-
-    Exists exactly when q ≡ 1 (mod p): raise a generator candidate g to
-    (q-1)/p; any result h ≠ 1 has order exactly p, and the p-1 nontrivial
-    powers of h are precisely the roots.
-    """
-    if p == q:
-        raise ValueError("degrees p and q must be distinct primes")
-    if q % p != 1:
-        raise ValueError("Phi_p has roots mod q only when q ≡ 1 (mod p)")
-    e = (q - 1) // p
-    for g in range(2, q):
-        h = pow(g, e, q)
-        if h != 1:
-            roots = set()
-            x = h
-            for _ in range(p - 1):
-                roots.add(x)
-                x = x * h % q
-            return roots
-    raise ArithmeticError(f"no element of order {p} mod {q}; is q prime?")

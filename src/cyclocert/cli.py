@@ -17,8 +17,8 @@ from .bench import run_bench
 from .carmichael import search_carmichael
 from .certfile import CertFileError, cert_decode, cert_encode
 from .certify import GenerationError, Outcome, Verdict, generate_certificate, sprp_filter, verify
-from .chain import DEFAULT_K_MAX, cofactor_split, cyclotomic_roots
-from .numtheory import is_probable_prime
+from .chain import DEFAULT_K_MAX, cofactor_split
+from .numtheory import cyclotomic_roots, is_probable_prime
 from .ring import RingElement, cyclotomic_value, make_context
 
 EXIT_PRIME = 0

@@ -1,16 +1,15 @@
 """Scalar modular number theory used throughout the chain.
 
-Square roots of -3, p-th power residue testing, probable-prime testing,
-smooth parts, and the power-basis admissibility predicate for the ring base
-d. All functions are pure; randomized routines draw from a
-``random.Random`` seeded by their input or owned by the caller, so runs are
-reproducible.
+Roots of cyclotomic polynomials and of -3, p-th power residue testing,
+probable-prime testing, smooth parts, and the power-basis admissibility
+predicate for the ring base d. All functions are pure; the probable-prime
+test draws its bases from a ``random.Random`` seeded by its input, so runs
+are reproducible.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import gcd, isqrt, prod
@@ -41,22 +40,6 @@ class SeedTrust(Enum):
 
     EXTERNALLY_PROVEN = "EXTERNALLY_PROVEN"
     PROBABLE = "PROBABLE"
-
-
-@dataclass(frozen=True)
-class SeedPrime:
-    """A trusted seed prime q together with its residue class mod the degree."""
-
-    q: int
-    trust: SeedTrust
-    congruence_class: int
-
-
-def make_seed(q: int, p: int, trust: SeedTrust = SeedTrust.PROBABLE) -> SeedPrime:
-    """Record a seed prime for degree p; q itself is trusted, not re-proven."""
-    if q <= 3:
-        raise ValueError("seed prime must exceed 3")
-    return SeedPrime(q=q, trust=trust, congruence_class=q % p)
 
 
 def _strong_test(n: int, a: int) -> bool:
@@ -121,52 +104,42 @@ def smooth_part(m: int, y: int) -> int:
     return part
 
 
-def _tonelli_shanks(a: int, q: int, rng: random.Random) -> int:
-    """Square root of the residue a modulo an odd prime q with q % 4 == 1."""
-    m = q - 1
-    s = 0
-    while m % 2 == 0:
-        m //= 2
-        s += 1
-    # randomized non-residue search; rng is deterministic per caller
-    while True:
-        u = rng.randrange(2, q)
-        if pow(u, (q - 1) // 2, q) == q - 1:
-            break
-    c = pow(u, m, q)
-    x = pow(a, (m + 1) // 2, q)
-    t = pow(a, m, q)
-    r = s
-    while t != 1:
-        # find least i with t^(2^i) = 1
-        i = 0
-        t2 = t
-        while t2 != 1:
-            t2 = t2 * t2 % q
-            i += 1
-        b = pow(c, 1 << (r - i - 1), q)
-        x = x * b % q
-        c = b * b % q
-        t = t * c % q
-        r = i
-    return x
+def cyclotomic_roots(p: int, q: int) -> set[int]:
+    """All residues N mod q with Phi_p(N) ≡ 0, i.e. of multiplicative order p.
+
+    Exists exactly when q ≡ 1 (mod p): raise a generator candidate g to
+    (q-1)/p; any result h ≠ 1 has order exactly p, and the p-1 nontrivial
+    powers of h are precisely the roots.
+    """
+    if q < 2 or p == q:
+        raise ValueError("degrees p and q must be distinct primes")
+    if q % p != 1:
+        raise ValueError("Phi_p has roots mod q only when q ≡ 1 (mod p)")
+    e = (q - 1) // p
+    for g in range(2, q):
+        h = pow(g, e, q)
+        if h != 1:
+            roots = set()
+            x = h
+            for _ in range(p - 1):
+                roots.add(x)
+                x = x * h % q
+            return roots
+    raise ArithmeticError(f"no element of order {p} mod {q}; is q prime?")
 
 
-def sqrt_minus3(q: int, rng: random.Random | None = None) -> tuple[int, int]:
+def sqrt_minus3(q: int) -> tuple[int, int]:
     """Both square roots of -3 modulo an odd prime q with q ≡ 1 (mod 3).
 
-    Uses the exponent shortcut when q ≡ 3 (mod 4) and Tonelli-Shanks
-    otherwise.  The result is verified by squaring before returning.  Roots
-    come back ascending; their sum is q, so exactly one of them is odd.
+    For a nontrivial cube root of unity h, (2h+1)² = 4(h² + h + 1) - 3 ≡ -3,
+    so the roots are ±(2h+1).  The result is verified by squaring before
+    returning.  Roots come back ascending; their sum is q, so exactly one of
+    them is odd.
     """
     if q % 3 != 1:
         raise ValueError("-3 is a quadratic residue mod q only when q ≡ 1 (mod 3)")
-    a = -3 % q
-    if q % 4 == 3:
-        r = pow(a, (q + 1) // 4, q)
-    else:
-        r = _tonelli_shanks(a, q, rng if rng is not None else random.Random(0))
-    if r * r % q != a:
+    r = (2 * min(cyclotomic_roots(3, q)) + 1) % q
+    if (r * r + 3) % q != 0:
         raise ArithmeticError(f"square root of -3 mod {q} failed verification")
     return (min(r, q - r), max(r, q - r))
 
@@ -203,9 +176,8 @@ def is_squarefree_small(d: int) -> bool:
 def monogenic_ok(d: int, p: int) -> bool:
     """Whether x**p - d supports plain power-basis arithmetic.
 
-    For p = 3: d squarefree and d mod 9 not in {1, 8}.  For p > 3: d
-    squarefree and d**(p-1) not ≡ 1 mod p², which reduces to the cubic rule
-    at p = 3 (d² ≡ 1 mod 9 exactly when d ≡ ±1 mod 9).
+    d squarefree and d**(p-1) not ≡ 1 mod p²; at p = 3 this is the cubic
+    rule d mod 9 not in {1, 8}, since d² ≡ 1 mod 9 exactly when d ≡ ±1.
     """
     if d <= 1:
         raise ValueError("base d must exceed 1")
@@ -213,6 +185,4 @@ def monogenic_ok(d: int, p: int) -> bool:
         raise ValueError(f"base d capped at {SMALL_BASE_LIMIT}")
     if not is_squarefree_small(d):
         return False
-    if p == 3:
-        return d % 9 not in (1, 8)
     return pow(d, p - 1, p * p) != 1

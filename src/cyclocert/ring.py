@@ -1,7 +1,7 @@
 """Exact arithmetic in the quotient ring Z[x]/(N, x**p - d).
 
 N may be composite: every operation stays correct over Z/NZ, and the norm is
-computed as an integer resultant so that unit/zero-divisor classification
+computed as an integer determinant so that unit/zero-divisor classification
 works even when modular elimination would hit non-invertible pivots.
 Elements are coefficient vectors of length exactly p, fully reduced into
 [0, N) after every operation.  Everything here is a pure function of
@@ -226,38 +226,19 @@ def _bareiss_det(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def sylvester_norm(ctx: RingContext, a: RingElement) -> int:
-    """Resultant of x**p - d with the lifted element, reduced mod N.
-
-    Builds the (2p-1) x (2p-1) Sylvester matrix with all entries lifted to
-    [0, N), takes its exact integer determinant, and reduces.  Since
-    x**p - d is monic, padding the element to formal degree p-1 leaves the
-    resultant unchanged, and the determinant equals the product of the
-    element evaluated at the p roots, i.e. the ring norm.
-    """
-    p, N, d = ctx.p, ctx.N, ctx.d
-    size = 2 * p - 1
-    f_desc = [1] + [0] * (p - 1) + [(-d) % N]  # x^p - d, descending
-    a_desc = list(reversed(a.coeffs))
-    rows = []
-    for i in range(p - 1):
-        rows.append([0] * i + f_desc + [0] * (size - i - p - 1))
-    for j in range(p):
-        rows.append([0] * j + a_desc + [0] * (size - j - p))
-    return _bareiss_det(rows) % N
-
-
 def ring_norm(ctx: RingContext, a: RingElement) -> int:
     """Norm of an element as a residue in [0, N); multiplicative.
 
-    Cubic contexts use the closed form A³ + d·B³ + d²·C³ - 3d·A·B·C for the
-    element A + Bθ + Cθ²; higher degrees go through the Sylvester resultant.
+    The determinant of multiplication by a on the basis 1, θ, ..., θ^(p-1).
+    Column j holds a·θ^j: the coefficients of a shifted down by j, where
+    those that wrap past θ^(p-1) are multiplied by d, since θ^p = d.
+    Entries lie in [0, N); the exact integer determinant is reduced mod N.
     """
-    if ctx.p == 3:
-        A, B, C = a.coeffs
-        d = ctx.d
-        return (A**3 + d * B**3 + d * d * C**3 - 3 * d * A * B * C) % ctx.N
-    return sylvester_norm(ctx, a)
+    p, N, d = ctx.p, ctx.N, ctx.d
+    coeffs = a.coeffs
+    wrapped = [d * c % N for c in coeffs]
+    matrix = [[(wrapped if j > i else coeffs)[i - j] for j in range(p)] for i in range(p)]
+    return _bareiss_det(matrix) % N
 
 
 class UnitKind(Enum):

@@ -77,6 +77,16 @@ def square_and_multiply(ctx: RingContext, a: RingElement, e: int) -> RingElement
     return result
 
 
+def cubic_norm(ctx: RingContext, a: RingElement) -> int:
+    """Closed-form norm A³ + d·B³ + d²·C³ - 3d·A·B·C of A + Bθ + Cθ² mod N.
+
+    The oracle for ring_norm at degree 3; it shares no code with it.
+    """
+    A, B, C = a.coeffs
+    d = ctx.d
+    return (A**3 + d * B**3 + d * d * C**3 - 3 * d * A * B * C) % ctx.N
+
+
 def sprp_filter_loop(N: int, d: int, z: RingElement, k: int, p_seed: int, ell: int) -> bool:
     """The ring filter as one exponentiation loop; the oracle for sprp_filter.
 

@@ -90,7 +90,7 @@ class TestPhase1:
 
     def test_projection_to_one_is_redrawn_until_exhaustion(self):
         ctx = make_context(7, 3, 2)
-        result = phase1_generate(ctx, ScriptedDraws([1, 0, 0]), max_tries=12)
+        result = phase1_generate(ctx, ScriptedDraws([1, 0, 0]))
         assert result.status is Phase1Status.EXHAUSTED
         assert result.w is None
 
@@ -457,5 +457,6 @@ class TestGenerateCertificate:
 
     @pytest.mark.parametrize("p", [-3, 0, 1, 2, 4, 9, 15, 17])
     def test_unsupported_degree_refused_before_search(self, p):
-        with pytest.raises(ValueError, match="degree must be one of"):
-            generate_certificate(32, p=p, rng=random.Random(0))
+        for d in (None, 2):
+            with pytest.raises(ValueError, match="degree must be one of"):
+                generate_certificate(32, p=p, d=d, rng=random.Random(0))

@@ -11,11 +11,11 @@ from cyclocert import (
     cyclotomic_value,
     forward_construct,
     is_probable_prime,
-    make_seed,
     reversed_construct,
     select_base_d,
     structural_bound_ok,
 )
+from cyclocert import certify, chain
 from cyclocert.chain import (
     SIEVE_BOUND,
     candidate_split,
@@ -44,33 +44,42 @@ class TestStructuralBound:
 
 class TestForwardConstruct:
     def test_seed_19_accepts_n7(self):
-        result = forward_construct(make_seed(19, 3))
+        result = forward_construct(19)
         assert result.status is ChainStatus.ACCEPTED
         assert (result.N, result.q, result.k) == (7, 19, 3)
 
     def test_seed_13_rejects_congruence(self):
-        result = forward_construct(make_seed(13, 3))
+        result = forward_construct(13)
         assert result.status is ChainStatus.REJECT_CONGRUENCE
         assert result.N == 3
 
     def test_seed_7_rejects_congruence(self):
-        result = forward_construct(make_seed(7, 3))
+        result = forward_construct(7)
         assert result.status is ChainStatus.REJECT_CONGRUENCE
         assert result.N == 2
 
     def test_seed_congruence_propagates(self):
         with pytest.raises(ValueError):
-            forward_construct(make_seed(5, 3))
+            forward_construct(5)
+
+    def test_tiny_seed_rejected(self):
+        for q in (1, 3):
+            with pytest.raises(ValueError):
+                forward_construct(q)
 
     def test_divisibility_for_every_small_seed(self):
-        # the constructed N always satisfies q | N^2 + N + 1, accepted or not
+        # the constructed N always satisfies q | N^2 + N + 1, accepted or not,
+        # and 2N + 1 is the paper's odd root of -3 below q
         for q in sieve_primes(10**4):
             if q < 7 or q % 3 != 1:
                 continue
-            result = forward_construct(make_seed(q, 3))
+            result = forward_construct(q)
             phi = cyclotomic_value(result.N, 3)
             assert phi % q == 0
             assert result.k == phi // q
+            s = 2 * result.N + 1
+            assert s < q
+            assert (s * s + 3) % q == 0
 
 
 class TestReversedConstruct:
@@ -94,10 +103,11 @@ class TestReversedConstruct:
         assert result.status is ChainStatus.ACCEPTED
         assert (result.N, result.q, result.k) == (row.N, row.q, 21)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
         # 337 is prime but Phi_3(337) = 3*43*883 has no prime quotient at k = 1
+        monkeypatch.setattr(chain, "ATTEMPT_BUDGET", 3)
         rng = ScriptedBits([337, 337, 337])
-        result = reversed_construct(9, 3, k_max=1, rng=rng, attempt_budget=3)
+        result = reversed_construct(9, 3, k_max=1, rng=rng)
         assert result.status is ChainStatus.REJECT_NO_SEED
 
     def test_accepted_results_satisfy_invariants(self):
@@ -229,9 +239,10 @@ class TestSelectBaseD:
         assert pow(2, 10, 31) == 1  # 2 is a cube mod 31, so d = 2 is unusable
         assert select_base_d(31, 3) == 3
 
-    def test_empty_range_errors(self):
+    def test_empty_range_errors(self, monkeypatch):
+        monkeypatch.setattr(certify, "BASE_D_MAX", 1)
         with pytest.raises(ValueError):
-            select_base_d(7, 3, d_max=1)
+            select_base_d(7, 3)
 
     def test_wrong_congruence_errors(self):
         with pytest.raises(ValueError):

@@ -85,8 +85,9 @@ class TestGenerate:
 
     @pytest.mark.parametrize("degree", ["-3", "0", "1", "2", "4", "9", "15", "17"])
     def test_unsupported_degree_fails(self, degree, capsys):
-        assert main(["generate", "--bits", "32", "--degree", degree]) == 1
-        assert "degree must be one of" in capsys.readouterr().err
+        for base in ([], ["--d", "2"]):
+            assert main(["generate", "--bits", "32", "--degree", degree, *base]) == 1
+            assert "degree must be one of" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -4,14 +4,7 @@ import random
 
 import pytest
 
-from cyclocert import (
-    SeedTrust,
-    is_probable_prime,
-    make_seed,
-    monogenic_ok,
-    pth_residue,
-    sqrt_minus3,
-)
+from cyclocert import is_probable_prime, monogenic_ok, pth_residue, sqrt_minus3
 from cyclocert.numtheory import smooth_part
 from cyclocert.reference import REFERENCE_CHAINS_DEGREE3
 from helpers import sieve_primes
@@ -38,7 +31,7 @@ class TestSqrtMinus3:
             q -= (q - 1) % 6
             if q < 7 or not is_probable_prime(q, rounds=2):
                 continue
-            r1, r2 = sqrt_minus3(q, rng=rng)
+            r1, r2 = sqrt_minus3(q)
             assert (r1 * r1 + 3) % q == 0
             assert (r2 * r2 + 3) % q == 0
             assert r1 + r2 == q
@@ -144,15 +137,3 @@ class TestMonogenicOk:
         assert monogenic_ok(2, 5) is True  # 2^4 = 16 mod 25
         assert monogenic_ok(7, 5) is False  # 7^4 = 2401 ≡ 1 mod 25
         assert monogenic_ok(18, 5) is False  # 18 = 2·3²
-
-
-class TestSeedPrime:
-    def test_records_congruence_class(self):
-        seed = make_seed(19, 3)
-        assert seed.q == 19
-        assert seed.congruence_class == 1
-        assert seed.trust is SeedTrust.PROBABLE
-
-    def test_tiny_seed_rejected(self):
-        with pytest.raises(ValueError):
-            make_seed(3, 3)

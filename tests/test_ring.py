@@ -15,17 +15,17 @@ from cyclocert import (
     element,
     make_context,
     one,
+    pth_residue,
     ring_mul,
     ring_norm,
     ring_pow,
     scalar,
-    sylvester_norm,
     theta,
     unchecked_context,
     zero,
 )
 from cyclocert.ring import PRIME_DEGREES, _window_width
-from helpers import schoolbook_mul, slow_pow, square_and_multiply
+from helpers import cubic_norm, schoolbook_mul, sieve_primes, slow_pow, square_and_multiply
 
 
 def ctx7():
@@ -226,14 +226,28 @@ class TestRingNorm:
         ctx = ctx7()
         assert ring_norm(ctx, element(ctx, (1, 1))) == 3
 
-    def test_sylvester_matches_closed_form(self):
+    def test_matches_cubic_closed_form(self):
         rng = random.Random(2024)
         for _ in range(1000):
             n = rng.randrange(3, 2**48) * 2 + 1
             d = rng.randrange(2, n - 1)
             ctx = make_context(n, 3, d)
             a = RingElement(tuple(rng.randrange(n) for _ in range(3)))
-            assert ring_norm(ctx, a) == sylvester_norm(ctx, a)
+            assert ring_norm(ctx, a) == cubic_norm(ctx, a)
+
+    @pytest.mark.parametrize("p", PRIME_DEGREES)
+    def test_field_norm_is_power_by_phi(self, p):
+        # for prime N ≡ 1 (mod p) and d not a p-th power, the ring is the
+        # field of N^p elements, and a^Phi_p(N) is the scalar norm of a
+        rng = random.Random(p)
+        for n in sieve_primes(3000):
+            if n % p != 1:
+                continue
+            d = next(d for d in range(2, n) if not pth_residue(d, n, p))
+            ctx = make_context(n, p, d)
+            for _ in range(5):
+                a = RingElement(tuple(rng.randrange(n) for _ in range(p)))
+                assert ring_pow(ctx, a, ctx.phi_p_n) == scalar(ctx, ring_norm(ctx, a))
 
     def test_degree5_norm_of_theta(self):
         # product of the five roots of x^5 - d is d
