@@ -3,11 +3,12 @@
 A certificate for a candidate N is the tuple (p, d, N, q, k, w): a trusted
 seed prime q with Phi_p(N) = k·q, an admissible base d, and a unitary
 element w obtained by projecting a random unit through z -> z^(N-1).
-Verification is non-recursive and costs one exponentiation chain of full
-size: X = w^k, then X^q = w^Phi_p(N), whose value 1 is the Fermat analog.
-The cyclotomic condition is then certified zero-divisor-free through a
-norm/gcd computation rather than coefficient comparison so that composite
-moduli cannot hide factors.
+Verification is non-recursive and makes one exponentiation of N's length:
+X = w^k has a short exponent, and w^N = σ(w) for the Frobenius twist
+σ(θ) = ζθ, ζ = d^((N-1)/p), stands in for the Fermat analog
+w^Phi_p(N) = X^q = 1 (see _frobenius_holds).  The cyclotomic condition is
+then certified zero-divisor-free through a norm/gcd computation rather than
+coefficient comparison so that composite moduli cannot hide factors.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from enum import Enum
 from math import gcd
 
 from .chain import reversed_construct, structural_bound_ok
-from .numtheory import SeedTrust, monogenic_ok, pth_residue
+from .numtheory import SeedTrust, monogenic_ok, pth_power_symbol
+from .numtheory import pth_residue  # noqa: F401  perfbench/tracing.py wraps certify.pth_residue
 from .ring import (
     PRIME_DEGREES,
     RingContext,
@@ -30,6 +32,7 @@ from .ring import (
     is_zero,
     make_context,
     one,
+    ring_mul,
     ring_norm,
     ring_pow,
     ring_sub,
@@ -134,14 +137,22 @@ def phase1_generate(ctx: RingContext, rng: random.Random) -> Phase1Result:
 def phase2_cyclotomic(ctx: RingContext, w: RingElement, k: int, q: int) -> Verdict:
     """Cyclotomic verification of a unitary element; needs Phi_p(N) = k·q.
 
-    X = w^k must satisfy X^q = 1 (else the Fermat analog already failed).
-    Then g = gcd(norm(X - 1), N) decides: g = 1 certifies Phi_q(X) ≡ 0 and
-    yields PRIME; g = N means X ≡ 1, so the base had too small an order and
-    the caller should retry phase 1; anything in between is a factor of N.
+    X = w^k must satisfy X^q = 1 (else the Fermat analog already failed);
+    then _cyclotomic_verdict decides from gcd(norm(X - 1), N).
     """
     x = ring_pow(ctx, w, k)
     if ring_pow(ctx, x, q) != one(ctx):
         return Verdict(Outcome.COMPOSITE, Reason.FERMAT)
+    return _cyclotomic_verdict(ctx, x)
+
+
+def _cyclotomic_verdict(ctx: RingContext, x: RingElement) -> Verdict:
+    """The norm/gcd ladder on X = w^k: g = gcd(norm(X - 1), N) decides.
+
+    Given X^q = 1, g = 1 certifies Phi_q(X) ≡ 0 and yields PRIME; g = N
+    means X ≡ 1, so the base had too small an order and the caller should
+    retry phase 1; anything in between is a factor of N whatever X^q is.
+    """
     g = gcd(ring_norm(ctx, ring_sub(ctx, x, one(ctx))), ctx.N)
     if g == 1:
         return Verdict(Outcome.PRIME)
@@ -150,8 +161,52 @@ def phase2_cyclotomic(ctx: RingContext, w: RingElement, k: int, q: int) -> Verdi
     return Verdict(Outcome.COMPOSITE, Reason.ZERO_DIVISOR, witness=g)
 
 
-def _base_compatible(n: int, p: int, d: int) -> bool:
-    return gcd(n, p * d) == 1 and not pth_residue(d, n, p)
+def _frobenius_holds(ctx: RingContext, w: RingElement, zeta: int) -> bool:
+    """Whether w^Phi_p(N) = 1 is proven by one exponentiation of N's length.
+
+    Let σ(Σ a_i θ^i) = Σ a_i ζ^i θ^i.  The checks, in order: ζ^p ≡ 1,
+    ∏_{i<p} σ^i(w) = 1 (p - 1 ring products), and w^N = σ(w).
+    - σ is a ring endomorphism exactly when ζ^p ≡ 1: it fixes Z/NZ, adds
+      and multiplies like the substitution θ -> ζθ, and respects
+      θ^p = d iff ζ^p·d ≡ d, that is ζ^p ≡ 1, since gcd(d, N) = 1.
+    - Then σ commutes with powers, so w^N = σ(w) gives by induction
+      w^(N^(i+1)) = σ^i(w)^N = σ^i(w^N) = σ^(i+1)(w).
+    - Hence w^Phi_p(N) = ∏_{i<p} w^(N^i) = ∏_{i<p} σ^i(w) = 1, so X = w^k
+      has X^q = 1 for every N, composite or not.
+    - For prime N all three hold for every unitary w: as d is not a p-th
+      power and N ≡ 1 (mod p), Z[θ]/(N) is the field F_(N^p), ζ^p =
+      d^(N-1) = 1, σ is its Frobenius (θ^N = ζθ), and the product is
+      w^Phi_p(N) = 1.
+    The product goes first: for prime N it equals w^Phi_p(N), so a tampered
+    w fails without a long exponentiation, and if w^N = σ(w) it is w^Phi
+    anyway, so the order cannot change the result.
+    """
+    n, p = ctx.N, ctx.p
+    if pow(zeta, p, n) != 1:
+        return False
+    powers = [1]
+    for _ in range(p - 1):
+        powers.append(powers[-1] * zeta % n)
+
+    def twist(i: int) -> RingElement:
+        return RingElement(tuple(c * powers[i * j % p] % n for j, c in enumerate(w.coeffs)))
+
+    product = w
+    for i in range(1, p):
+        product = ring_mul(ctx, product, twist(i))
+    return product == one(ctx) and ring_pow(ctx, w, n) == twist(1)
+
+
+def _base_zeta(n: int, p: int, d: int) -> int | None:
+    """ζ = d^((N-1)/p) mod N when d is an admissible base for N, else None.
+
+    Admissible means gcd(N, p·d) = 1 and ζ ≠ 1 (d is not a p-th power
+    residue); verify reuses ζ as the Frobenius twist.
+    """
+    if gcd(n, p * d) != 1:
+        return None
+    zeta = pth_power_symbol(d, n, p)
+    return None if zeta == 1 else zeta
 
 
 def select_base_d(N: int, p: int) -> int:
@@ -163,22 +218,26 @@ def select_base_d(N: int, p: int) -> int:
     if N % p != 1:
         raise ValueError("require N ≡ 1 (mod p)")
     for d in range(2, BASE_D_MAX + 1):
-        if monogenic_ok(d, p) and _base_compatible(N, p, d):
+        if monogenic_ok(d, p) and _base_zeta(N, p, d) is not None:
             return d
     raise ValueError(f"no admissible base d <= {BASE_D_MAX} for N = {N}")
 
 
 def verify(cert: Certificate) -> Verdict:
-    """Non-recursive certificate check with one full-size exponentiation chain.
+    """Non-recursive certificate check with one exponentiation of N's length.
 
     Order of checks: a degree in PRIME_DEGREES and N, q >= 2 (before any
     arithmetic), structural bound, congruences, field parameters
-    (gcd and p-th power non-residue), exact cofactor, then phase 2: X = w^k
-    and X^q = w^Phi_p(N), which must be 1, followed by the norm/gcd
-    condition.  A failed Fermat analog is REJECT/FERMAT, because a w with
-    w^Phi ≠ 1 is not the unitary element the certificate claims; every
-    other phase-2 verdict is returned as it is.  PRIME is returned only
-    when phase 2 certifies it.
+    (gcd and p-th power non-residue, which yields ζ), exact cofactor, then:
+    1. X = w^k and g = gcd(norm(X - 1), N); 1 < g < N is COMPOSITE with
+       the factor g as witness.
+    2. The Frobenius check (_frobenius_holds): ζ^p ≡ 1, ∏ σ^i(w) = 1 and
+       w^N = σ(w), which prove w^Phi_p(N) = X^q = 1.  A failure is
+       REJECT/FERMAT, because w is not the unitary element the
+       certificate claims.
+    3. g = 1 is PRIME and g = N is RETRY.
+    ζ is computed once, and w^N is the longest exponentiation whenever
+    k < N, as on every generated certificate.
     """
     n, p, q, k, d = cert.N, cert.p, cert.q, cert.k, cert.d
     if p not in PRIME_DEGREES or n < 2 or q < 2:
@@ -190,7 +249,8 @@ def verify(cert: Certificate) -> Verdict:
     if n % p != 1:
         # the residue exponent (N-1)/p would not even be defined
         return Verdict(Outcome.REJECT, Reason.CONGRUENCE)
-    if not _base_compatible(n, p, d):
+    zeta = _base_zeta(n, p, d)
+    if zeta is None:
         return Verdict(Outcome.REJECT, Reason.RESIDUE)
     phi = cyclotomic_value(n, p)
     if k < 1 or k * q != phi:
@@ -202,8 +262,10 @@ def verify(cert: Certificate) -> Verdict:
     w = cert.w
     if len(w.coeffs) != p or any(not 0 <= c < n for c in w.coeffs):
         return Verdict(Outcome.REJECT, Reason.FORMAT)
-    verdict = phase2_cyclotomic(ctx, w, k, q)
-    if verdict == Verdict(Outcome.COMPOSITE, Reason.FERMAT):
+    verdict = _cyclotomic_verdict(ctx, ring_pow(ctx, w, k))
+    if verdict.outcome is Outcome.COMPOSITE:
+        return verdict
+    if not _frobenius_holds(ctx, w, zeta):
         return Verdict(Outcome.REJECT, Reason.FERMAT)
     return verdict
 
@@ -266,7 +328,7 @@ def generate_certificate(
             except ValueError:
                 continue
         else:
-            if not _base_compatible(n, p, d):
+            if _base_zeta(n, p, d) is None:
                 continue  # candidate incompatible with the fixed base; resample
             d_used = d
         ctx = make_context(n, p, d_used)

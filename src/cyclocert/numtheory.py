@@ -144,17 +144,25 @@ def sqrt_minus3(q: int) -> tuple[int, int]:
     return (min(r, q - r), max(r, q - r))
 
 
+def pth_power_symbol(a: int, n: int, p: int) -> int:
+    """a^((n-1)/p) mod n; for prime n a p-th root of unity, 1 exactly on p-th powers.
+
+    Composite n is allowed; the value is then purely the congruence power.
+    """
+    if n % p != 1:
+        raise ValueError("require n ≡ 1 (mod p)")
+    if gcd(a, n) != 1:
+        raise ValueError("a must be coprime to n")
+    return pow(a, (n - 1) // p, n)
+
+
 def pth_residue(a: int, n: int, p: int) -> bool:
     """Euler criterion: a is a p-th power residue mod n iff a^((n-1)/p) ≡ 1.
 
     Exact for prime n.  Composite n is allowed; the result is then purely the
     congruence test, which is how the candidate filter uses it.
     """
-    if n % p != 1:
-        raise ValueError("require n ≡ 1 (mod p)")
-    if gcd(a, n) != 1:
-        raise ValueError("a must be coprime to n")
-    return pow(a, (n - 1) // p, n) == 1
+    return pth_power_symbol(a, n, p) == 1
 
 
 def is_squarefree_small(d: int) -> bool:

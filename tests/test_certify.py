@@ -1,7 +1,10 @@
 """Certificate issuance and verification: projection, phases, verdicts, filter."""
 
 import random
+from dataclasses import replace
+from functools import lru_cache
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,7 @@ from cyclocert import (
     RingElement,
     SeedTrust,
     Verdict,
+    cert_decode,
     cyclotomic_value,
     element,
     factorize,
@@ -258,8 +262,30 @@ def _reference_variants(row, seed):
         yield cert_for(row.N, row.q, row.k, RingElement(coeffs), p=row.p)
 
 
+# generated certificates per degree: (p, bits), each at seeds 0 .. GENERATED_SEEDS - 1
+GENERATED_SIZES = [(3, 64), (5, 64), (7, 24), (11, 16), (13, 12)]
+GENERATED_SEEDS = 3
+
+FORGED = cert_decode((Path(__file__).parent / "data" / "forged_8299.cert").read_text())
+
+
+@lru_cache(maxsize=None)
+def _generated(p, bits, seed):
+    return generate_certificate(bits, p=p, rng=random.Random(seed))
+
+
+def _generated_variants(p, bits, seed):
+    """A generated certificate, its w with one coefficient changed, and a raw w."""
+    cert = _generated(p, bits, seed)
+    tampered = list(cert.w.coeffs)
+    tampered[seed % p] = (tampered[seed % p] + 1) % cert.N
+    raw = tuple(random.Random(seed).randrange(cert.N) for _ in range(p))
+    for coeffs in (cert.w.coeffs, tuple(tampered), raw):
+        yield replace(cert, w=RingElement(coeffs))
+
+
 class TestSingleChainVerdicts:
-    """verify's one exponentiation chain decides exactly as the w^Phi filter did."""
+    """verify decides exactly as the w^Phi filter did on prime N."""
 
     def assert_same(self, cert):
         assert _as_tuple(verify(cert)) == _as_tuple(verify_with_filter(cert))
@@ -290,11 +316,20 @@ class TestSingleChainVerdicts:
         assert len(pairs) >= 100
         assert all(new == old for new, old in pairs)
 
+    @pytest.mark.parametrize("p,bits", GENERATED_SIZES)
+    def test_generated_every_degree(self, p, bits):
+        outcomes = set()
+        for seed in range(GENERATED_SEEDS):
+            for cert in _generated_variants(p, bits, seed):
+                self.assert_same(cert)
+                outcomes.add(_as_tuple(verify(cert)))
+        assert (Outcome.PRIME, None, None) in outcomes
+        assert (Outcome.REJECT, Reason.FERMAT, None) in outcomes
+
     def test_small_and_hostile_elements(self):
-        forged = cert_for(8299, 22960567, 3, RingElement((3434, 4865, 5635)))
-        assert verify(forged).outcome is Outcome.PRIME  # the open composite-seed hole
+        # the forged certificate (composite N and q) fails the Frobenius check
+        assert verify(FORGED) == Verdict(Outcome.REJECT, Reason.FERMAT)
         cases = [
-            forged,
             cert_for(13, 61, 3, RingElement((2, 0, 0))),  # not unitary
             cert_for(13, 61, 3, certified_w(13, 61, 3)),
             cert_for(7, 19, 3, RingElement((4, 0, 0))),  # RETRY
@@ -309,6 +344,91 @@ class TestSingleChainVerdicts:
             self.assert_same(cert)
         witnesses = {verify(cert).witness for cert in cases[-2:]}
         assert witnesses == {43, 193}
+
+    def test_twist_refused_when_zeta_has_wrong_order(self):
+        # 2^((25-1)/3) = 6 mod 25 and 6^3 = 16: θ -> 6θ is no ring map
+        assert pow(2, 8, 25) == 6 and pow(6, 3, 25) != 1
+        cert = cert_for(25, 217, 3, RingElement((1, 0, 0)))
+        assert verify_with_filter(cert) == Verdict(Outcome.RETRY, Reason.CYCLOTOMIC)
+        assert verify(cert) == Verdict(Outcome.REJECT, Reason.FERMAT)
+
+    def test_one_exponentiation_of_n_length(self, monkeypatch):
+        exponents, symbols = [], []
+        ring_pow_plain, symbol_plain = certify.ring_pow, certify.pth_power_symbol
+
+        def recording_pow(ctx, a, e):
+            exponents.append((e, ctx.N))
+            return ring_pow_plain(ctx, a, e)
+
+        def recording_symbol(*args):
+            symbols.append(args)
+            return symbol_plain(*args)
+
+        monkeypatch.setattr(certify, "ring_pow", recording_pow)
+        monkeypatch.setattr(certify, "pth_power_symbol", recording_symbol)
+        certs = [FORGED]
+        for p, bits in GENERATED_SIZES:
+            certs.extend(_generated_variants(p, bits, 0))
+        full_length = 0
+        for cert in certs:
+            exponents.clear()
+            symbols.clear()
+            verify(cert)
+            assert exponents and all(e <= n for e, n in exponents)
+            assert len(symbols) == 1
+            full_length += any(e == n for e, n in exponents)
+        # at least every genuine certificate reaches w^N = σ(w)
+        assert full_length >= len(GENERATED_SIZES)
+
+
+def _composite_sweep_certs(p, limit):
+    """Certificates on every odd N ≡ 1 (mod p) below limit, bases 2, 3, 5.
+
+    Each N takes up to 3 splits Phi_p(N) = k·q that pass the bound with
+    q ≡ 1 (mod p), and per split 3 random w, w = 1, and up to 4 scalars s
+    with s^Phi ≡ 1 (mod N).
+    """
+    rng = random.Random(p * limit)
+    for n in range(2 * p + 1, limit, 2 * p):
+        phi = cyclotomic_value(n, p)
+        divisors = [1]
+        for prime, exp in factorize(phi):
+            divisors = [a * prime**e for a in divisors for e in range(exp + 1)]
+        splits = [
+            (phi // q, q)
+            for q in sorted(divisors)
+            if q > 1 and q % p == 1 and structural_bound_ok(n, q, p)
+        ][:3]
+        scalars = [s for s in range(2, n) if pow(s, phi, n) == 1][:4]
+        for d in (2, 3, 5):
+            for k, q in splits:
+                ws = [tuple(rng.randrange(n) for _ in range(p)) for _ in range(3)]
+                ws += [(s,) + (0,) * (p - 1) for s in [1] + scalars]
+                for w in ws:
+                    yield cert_for(n, q, k, RingElement(w), p=p, d=d)
+
+
+class TestCompositeSweep:
+    """Where verify and the w^Phi oracle may differ: composite N only, two ways."""
+
+    @pytest.mark.parametrize("p,limit", [(3, 1500), (5, 200)])
+    def test_only_documented_differences(self, p, limit):
+        kinds = {"same": 0, "retry_to_fermat": 0, "fermat_to_factor": 0}
+        for cert in _composite_sweep_certs(p, limit):
+            new, old = verify(cert), verify_with_filter(cert)
+            if new == old:
+                kinds["same"] += 1
+                continue
+            assert not is_probable_prime(cert.N), cert
+            assert new.outcome is not Outcome.PRIME, cert
+            if old.outcome is Outcome.RETRY and new == Verdict(Outcome.REJECT, Reason.FERMAT):
+                kinds["retry_to_fermat"] += 1
+            else:
+                assert old == Verdict(Outcome.REJECT, Reason.FERMAT), cert
+                assert new.outcome is Outcome.COMPOSITE and new.reason is Reason.ZERO_DIVISOR
+                assert 1 < new.witness < cert.N and cert.N % new.witness == 0, cert
+                kinds["fermat_to_factor"] += 1
+        assert all(kinds.values()), kinds
 
 
 class TestFermatAnalog:

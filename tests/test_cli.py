@@ -2,6 +2,7 @@
 
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,7 @@ from cyclocert.cli import (
 
 # CPython's cap on int() of a decimal string; 0 where there is none
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+DATA = Path(__file__).parent / "data"
 
 
 class TestExitCodeMapping:
@@ -117,6 +119,15 @@ class TestVerify:
         path = self._write(tmp_path, cert)
         assert main(["verify", "--cert", path]) == EXIT_REJECT
         assert "verdict=REJECT reason=BOUND" in capsys.readouterr().out
+
+    def test_forged_certificate_rejected(self, capsys):
+        # N = 43·193 and q = 7²·619·757: fails the Frobenius check, though q is never tested
+        assert main(["verify", "--cert", str(DATA / "forged_8299.cert")]) == EXIT_REJECT
+        assert capsys.readouterr().out.strip() == "verdict=REJECT reason=FERMAT"
+
+    def test_golden_certificate_prime(self, capsys):
+        assert main(["verify", "--cert", str(DATA / "golden_n7.cert")]) == EXIT_PRIME
+        assert capsys.readouterr().out.strip() == "verdict=PRIME"
 
     def test_retry_exit_four(self, tmp_path, capsys):
         cert = Certificate("1", 3, 2, 7, 19, 3, RingElement((4, 0, 0)), SeedTrust.PROBABLE)
