@@ -237,7 +237,7 @@ def verify(cert: Certificate) -> Verdict:
        certificate claims.
     3. g = 1 is PRIME and g = N is RETRY.
     ζ is computed once, and w^N is the longest exponentiation whenever
-    k < N, as on every generated certificate.
+    k < N, which holds once N exceeds the generator's k_max.
     """
     n, p, q, k, d = cert.N, cert.p, cert.q, cert.k, cert.d
     if p not in PRIME_DEGREES or n < 2 or q < 2:
