@@ -87,7 +87,7 @@ class CarmichaelReport:
     korselt_ok covers squarefreeness plus the divisibility condition;
     irreducibility_ok records whether x³ - d is irreducible modulo every
     prime factor, the hypothesis under which korselt_ok is equivalent to the
-    direct definition.  direct_ok is filled only for tiny N.
+    direct definition.
     """
 
     N: int
@@ -95,7 +95,6 @@ class CarmichaelReport:
     factor_list: tuple[int, ...]
     korselt_ok: bool
     irreducibility_ok: bool
-    direct_ok: bool | None = None
 
 
 def _factor_irreducible(q: int, d: int) -> bool:

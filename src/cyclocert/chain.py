@@ -15,7 +15,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import compress
+from itertools import chain as chain_iterables
+from itertools import compress, repeat
 from math import isqrt
 
 from .numtheory import _sieve, cyclotomic_roots, is_probable_prime, smooth_part
@@ -113,52 +114,35 @@ def _sieve_table(p: int) -> tuple[array, array, array, array, tuple[array, ...]]
     return primes, inverses, split, split_inverses, root_columns
 
 
-def _root_ceil(x: int, p: int) -> int:
-    """Smallest n >= 1 with n**p >= x."""
-    n = max(1, round(x ** (1 / p)))
-    while n**p < x:
-        n += 1
-    while n > 1 and (n - 1) ** p >= x:
-        n -= 1
-    return n
-
-
 def sieve_window(start: int, count: int, p: int, k_max: int) -> bytearray:
     """Flags for N = start + 2p·i, 0 <= i < count: 0 where N cannot certify.
 
-    N is struck when a prime ℓ <= SIEVE_BOUND with ℓ < N divides N, or when
-    a prime ℓ ≡ 1 (mod p) with k_max < ℓ <= SIEVE_BOUND and (ℓ+1)² <= N^p
-    divides Phi_p(N): such an ℓ is too large to sit in k <= k_max and too
-    small to be q under the structural bound, so Phi_p(N) = k·q fails.
+    Each triple (ℓ, (2p)⁻¹ mod ℓ, r) strikes the N ≡ r (mod ℓ).  The residue
+    r is 0 for every prime ℓ <= SIEVE_BOUND other than 2 and p: ℓ is then
+    a proper factor of N.  For ℓ ≡ 1 (mod p) with k_max < ℓ <= SIEVE_BOUND,
+    r also runs over the roots of Phi_p mod ℓ, where ℓ divides Phi_p(N):
+    such an ℓ is too large to sit in k <= k_max and too small to be q, since
+    (ℓ+1)² <= N^p, so Phi_p(N) = k·q fails.  Both rules need N > SIEVE_BOUND,
+    so a window that starts at or below it is returned unsieved.
     """
     step = 2 * p
     if start % step != 1:
         raise ValueError("window start must be ≡ 1 (mod 2p)")
-    primes, inverses, split, split_inverses, root_columns = _sieve_table(p)
     flags = bytearray(b"\x01") * count
-    # only a window this low can hold an N <= ℓ, or an N with N^p < (ℓ+1)²
-    low = start <= SIEVE_BOUND
-    for ell, inv in zip(primes, inverses):
-        i = -(start % ell) * inv % ell
-        if low and start + step * i == ell:
-            i += ell
+    if start <= SIEVE_BOUND:
+        return flags
+    primes, inverses, split, split_inverses, root_columns = _sieve_table(p)
+    first = bisect_right(split, k_max)
+    triples = chain_iterables(
+        zip(primes, inverses, repeat(0)),
+        *(zip(split[first:], split_inverses[first:], column[first:]) for column in root_columns),
+    )
+    for ell, inv, r in triples:
+        i = (r - start % ell) * inv % ell
         if i + ell < count:
             flags[i::ell] = bytes((count - 1 - i) // ell + 1)
         elif i < count:
             flags[i] = 0
-    first = bisect_right(split, k_max)
-    columns = [column[first:] for column in root_columns]
-    for ell, inv, *roots in zip(split[first:], split_inverses[first:], *columns):
-        s = start % ell
-        lo = max(0, -((start - _root_ceil((ell + 1) ** 2, p)) // step)) if low else 0
-        for r in roots:
-            i = (r - s) * inv % ell
-            if i < lo:
-                i -= (i - lo) // ell * ell
-            if i + ell < count:
-                flags[i::ell] = bytes((count - 1 - i) // ell + 1)
-            elif i < count:
-                flags[i] = 0
     return flags
 
 

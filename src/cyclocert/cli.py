@@ -58,8 +58,12 @@ def _cmd_generate(args) -> int:
         return 1
     text = cert_encode(cert)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"cannot write certificate: {exc}", file=sys.stderr)
+            return 1
         print(f"certificate written to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -68,9 +72,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        with open(args.cert) as fh:
+        with open(args.cert, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read certificate: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     try:

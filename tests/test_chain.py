@@ -172,25 +172,23 @@ class TestSievedSearchMatchesScan:
     @pytest.mark.parametrize("k_max", K_MAXES)
     @pytest.mark.parametrize("p,limit", [(3, 3000), (5, 400)])
     def test_every_small_candidate(self, p, limit, k_max):
-        # all of these N lie below SIEVE_BOUND, where ℓ >= N must be spared
+        # all of these N lie below SIEVE_BOUND, so the window comes back unsieved
         start = 2 * p + 1
         count = (limit - 1 - start) // (2 * p) + 1
-        flags = sieve_window(start, count, p, k_max)
+        assert sieve_window(start, count, p, k_max) == bytearray(b"\x01") * count
         for i in range(count):
             n = start + 2 * p * i
-            expected = scan_cofactors(n, p, k_max)
-            assert candidate_split(n, p, k_max) == expected, n
-            if not flags[i]:
-                assert expected is None, n
+            assert candidate_split(n, p, k_max) == scan_cofactors(n, p, k_max), n
 
     @pytest.mark.parametrize("k_max", [100, 10000])
-    def test_window_above_sieve_bound(self, k_max):
-        p, count = 3, 240
-        start = SIEVE_BOUND + 1 + (-SIEVE_BOUND) % 6
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_window_above_sieve_bound(self, p, k_max):
+        count = 240
+        start = SIEVE_BOUND + 1 + (-SIEVE_BOUND) % (2 * p)
         primes = sieve_primes(SIEVE_BOUND)
         flags = sieve_window(start, count, p, k_max)
         for i in range(count):
-            n = start + 6 * i
+            n = start + 2 * p * i
             assert (not flags[i]) == struck_directly(n, p, k_max, primes), n
             if not flags[i]:
                 assert scan_cofactors(n, p, k_max) is None, n
@@ -198,12 +196,13 @@ class TestSievedSearchMatchesScan:
     def test_windows_agree_at_any_start(self):
         for p, limit in [(3, 3000), (5, 400)]:
             for k_max in (10, 10000):
-                whole = sieve_window(2 * p + 1, (limit - 2 * p - 2) // (2 * p) + 1, p, k_max)
+                start = SIEVE_BOUND + 1 + (-SIEVE_BOUND) % (2 * p)
+                whole = sieve_window(start, (limit - 2 * p - 2) // (2 * p) + 1, p, k_max)
                 rng = random.Random(p * k_max)
                 for _ in range(20):
                     i = rng.randrange(len(whole))
                     count = rng.randrange(1, len(whole) - i + 1)
-                    part = sieve_window(2 * p + 1 + 2 * p * i, count, p, k_max)
+                    part = sieve_window(start + 2 * p * i, count, p, k_max)
                     assert part == whole[i : i + count]
 
     def test_smooth_part_bound_is_not_k_max_alone(self):

@@ -76,6 +76,12 @@ class TestGenerate:
         cert = cert_decode(out.read_text())
         assert cert.N.bit_length() == 36
 
+    def test_unwritable_out_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.cert"
+        assert main(["generate", "--bits", "32", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("cannot write certificate: ")
+
     def test_explicit_base(self, capsys):
         assert main(["generate", "--bits", "32", "--d", "2", "--rng-seed", "4"]) == 0
         cert = cert_decode(capsys.readouterr().out)
@@ -148,6 +154,13 @@ class TestVerify:
         path.write_text(cert_encode(cert).replace("N=7", "N=1" + "0" * INT_DIGIT_LIMIT))
         assert main(["verify", "--cert", str(path)]) == EXIT_FORMAT
         assert "key N" in capsys.readouterr().err
+
+    def test_undecodable_file_exit_five(self, tmp_path, capsys):
+        path = tmp_path / "bytes.cert"
+        path.write_bytes(b"version=1\n\xff\xfe\n")
+        assert main(["verify", "--cert", str(path)]) == EXIT_FORMAT
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
 
     def test_missing_file_exit_five(self, capsys):
         assert main(["verify", "--cert", "/nonexistent/path.cert"]) == EXIT_FORMAT
