@@ -2,13 +2,14 @@
 
 A certificate for a candidate N is the tuple (p, d, N, q, k, w): a trusted
 seed prime q with Phi_p(N) = k·q, an admissible base d, and a unitary
-element w obtained by projecting a random unit through z -> z^(N-1).
-Verification is non-recursive and makes one exponentiation of N's length:
-X = w^k has a short exponent, and w^N = σ(w) for the Frobenius twist
-σ(θ) = ζθ, ζ = d^((N-1)/p), stands in for the Fermat analog
-w^Phi_p(N) = X^q = 1 (see _frobenius_holds).  The cyclotomic condition is
-then certified zero-divisor-free through a norm/gcd computation rather than
-coefficient comparison so that composite moduli cannot hide factors.
+element w obtained by projecting a random unit through z -> z^(N-1),
+which phase1_generate computes as σ(z)·z⁻¹.  Verification is
+non-recursive and makes one exponentiation of N's length: X = w^k has a
+short exponent, and w^N = σ(w) for the Frobenius twist σ(θ) = ζθ,
+ζ = d^((N-1)/p), stands in for the Fermat analog w^Phi_p(N) = X^q = 1
+(see _frobenius_holds).  The cyclotomic condition is then certified
+zero-divisor-free through a norm/gcd computation rather than coefficient
+comparison so that composite moduli cannot hide factors.
 """
 
 from __future__ import annotations
@@ -116,11 +117,24 @@ class Phase1Result:
 def phase1_generate(ctx: RingContext, rng: random.Random) -> Phase1Result:
     """Draw random elements until one projects to a usable unitary w ≠ 1.
 
+    The projection z^(N-1) is computed as σ(z)·z⁻¹, where σ is the twist
+    of _twists and z⁻¹ = ∏_{i≥1} σ^i(z) · norm(z)⁻¹: p - 1 ring products
+    and one scalar inverse.  ζ = d^((N-1)/p) is computed once, at the first
+    unit draw.  For prime N the result is z^(N-1): with N ≡ 1 (mod p) and
+    d not a p-th power residue, Z[θ]/(N) is the field F_(N^p) and
+    θ^N = d^((N-1)/p)·θ, so σ is the Frobenius x -> x^N.  Hence
+    z^(N-1) = σ(z)·z⁻¹, and as σ generates the Galois group, the product
+    of the p conjugates σ^i(z) is norm(z).  For composite N, w may differ
+    from z^(N-1); verify decides either way.  unitary_project keeps
+    z^(N-1), since sprp_filter runs it on composite N.
+
     A zero divisor among the draws is promoted to COMPOSITE with the factor
     it exposes; zero draws and projections landing on 1 are redrawn.  The
-    caller is responsible for the structural bound and for gcd(N, p·d) = 1.
+    caller is responsible for the structural bound, for gcd(N, p·d) = 1,
+    and for d being no p-th power residue mod N.
     """
     n = ctx.N
+    zeta = None
     for _ in range(PHASE1_TRIES):
         z = RingElement(tuple(rng.randrange(n) for _ in range(ctx.p)))
         cls = classify_unit(ctx, z)
@@ -128,7 +142,16 @@ def phase1_generate(ctx: RingContext, rng: random.Random) -> Phase1Result:
             return Phase1Result(Phase1Status.COMPOSITE, witness=cls.factor)
         if cls.kind is UnitKind.ZERO:
             continue
-        w = unitary_project(ctx, z)
+        if zeta is None:
+            zeta = pth_power_symbol(ctx.d, n, ctx.p)
+        # σ(z)·∏_{i≥1} σ^i(z) = σ(z)·z⁻¹·norm(z), in p - 1 products
+        twists = _twists(ctx, z, zeta)
+        w = twists[0]
+        for t in twists:
+            w = ring_mul(ctx, w, t)
+        # classify_unit found norm(z) coprime to N
+        inverse = pow(ring_norm(ctx, z), -1, n)
+        w = RingElement(tuple(c * inverse % n for c in w.coeffs))
         if w != one(ctx):
             return Phase1Result(Phase1Status.ELEMENT, w=w)
     return Phase1Result(Phase1Status.EXHAUSTED)
@@ -181,20 +204,29 @@ def _frobenius_holds(ctx: RingContext, w: RingElement, zeta: int) -> bool:
     w fails without a long exponentiation, and if w^N = σ(w) it is w^Phi
     anyway, so the order cannot change the result.
     """
-    n, p = ctx.N, ctx.p
-    if pow(zeta, p, n) != 1:
+    if pow(zeta, ctx.p, ctx.N) != 1:
         return False
+    twists = _twists(ctx, w, zeta)
+    product = w
+    for t in twists:
+        product = ring_mul(ctx, product, t)
+    return product == one(ctx) and ring_pow(ctx, w, ctx.N) == twists[0]
+
+
+def _twists(ctx: RingContext, a: RingElement, zeta: int) -> list[RingElement]:
+    """[σ(a), σ²(a), ..., σ^(p-1)(a)] for σ(Σ a_j θ^j) = Σ a_j ζ^j θ^j.
+
+    σ^i multiplies the coefficient of θ^j by ζ^(i·j), and ζ^(i·j) is read
+    at i·j mod p, which is exact whenever ζ^p ≡ 1.
+    """
+    n, p = ctx.N, ctx.p
     powers = [1]
     for _ in range(p - 1):
         powers.append(powers[-1] * zeta % n)
-
-    def twist(i: int) -> RingElement:
-        return RingElement(tuple(c * powers[i * j % p] % n for j, c in enumerate(w.coeffs)))
-
-    product = w
-    for i in range(1, p):
-        product = ring_mul(ctx, product, twist(i))
-    return product == one(ctx) and ring_pow(ctx, w, n) == twist(1)
+    return [
+        RingElement(tuple(c * powers[i * j % p] % n for j, c in enumerate(a.coeffs)))
+        for i in range(1, p)
+    ]
 
 
 def _base_zeta(n: int, p: int, d: int) -> int | None:

@@ -165,11 +165,13 @@ def cofactor_split(phi: int, k_max: int) -> tuple[int, int] | None:
 def candidate_split(n: int, p: int, k_max: int) -> tuple[int, int] | None:
     """(k, q) with Phi_p(n) = k·q that passes every check of the chain, or None.
 
-    The cofactor comes first because it needs only gcds; then n is tested
-    (2 rounds), then the structural bound, then q.
+    The cofactor comes first because it needs only gcds; then n gets one
+    BPSW test (is_probable_prime), then the structural bound, then q gets
+    one BPSW test.  Composites mostly fail the base-2 strong test at its
+    start, so a prime pays for one strong test and one Lucas test.
     """
     split = cofactor_split(cyclotomic_value(n, p), k_max)
-    if split is None or not is_probable_prime(n, rounds=2):
+    if split is None or not is_probable_prime(n):
         return None
     if not structural_bound_ok(n, split[1], p) or not is_probable_prime(split[1]):
         return None

@@ -1,10 +1,10 @@
 """Scalar modular number theory used throughout the chain.
 
 Roots of cyclotomic polynomials and of -3, p-th power residue testing,
-probable-prime testing, smooth parts, and the power-basis admissibility
-predicate for the ring base d. All functions are pure; the probable-prime
-test draws its bases from a ``random.Random`` seeded by its input, so runs
-are reproducible.
+the Baillie-PSW probable-prime test, smooth parts, and the power-basis
+admissibility predicate for the ring base d. All functions are pure; any
+strong tests requested beyond BPSW draw their bases from a
+``random.Random`` seeded by the input, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -59,12 +59,71 @@ def _strong_test(n: int, a: int) -> bool:
     return False
 
 
-def is_probable_prime(n: int, rounds: int = 20) -> bool:
-    """Probable-prime test: trial division, a base-2 strong test, then
-    ``rounds`` strong tests to bases drawn from ``random.Random(n)``.
+def _jacobi(a: int, n: int) -> int:
+    # Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _lucas_test(n: int) -> bool:
+    """Extra-strong Lucas test with Q = 1; n odd, greater than 2, not a square.
+
+    P runs 3, 4, ... until D = P² - 4 has (D/n) = -1; a D that shares a
+    proper factor with n proves n composite.  With n + 1 = d·2^s, d odd, n
+    passes when U_d ≡ 0 and V_d ≡ ±2, or V_(d·2^r) ≡ 0 for some r < s - 1.
+    One ladder over d gives V_d and V_(d+1), and D·U_d = 2V_(d+1) - P·V_d
+    decides U_d ≡ 0, since gcd(D, n) = 1.
+    """
+    P = 3
+    while True:
+        D = P * P - 4
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and D % n:
+            return False
+        P += 1
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # (V_k, V_(k+1)) from k = 1 down the bits of d: V_2k = V_k² - 2 and
+    # V_(2k+1) = V_k·V_(k+1) - P
+    v, w = P % n, (P * P - 2) % n
+    for bit in bin(d)[3:]:
+        if bit == "1":
+            v, w = (v * w - P) % n, (w * w - 2) % n
+        else:
+            v, w = (v * v - 2) % n, (v * w - P) % n
+    if (v == 2 or v == n - 2) and (2 * w - P * v) % n == 0:
+        return True
+    for _ in range(s - 1):
+        if v == 0:
+            return True
+        v = (v * v - 2) % n
+    return False
+
+
+def is_probable_prime(n: int, rounds: int = 0) -> bool:
+    """Baillie-PSW test: trial division, a refusal of perfect squares, a
+    base-2 strong test and an extra-strong Lucas test (Baillie & Wagstaff,
+    Math. Comp. 1980), then ``rounds`` strong tests to bases drawn from
+    ``random.Random(n)``.
 
     False means certainly composite.  For n below the square of the trial
-    division limit the answer is exact.
+    division limit the answer is exact.  No composite that passes BPSW is
+    known, and none exists below 2^64.
     """
     if n < 2:
         return False
@@ -72,7 +131,8 @@ def is_probable_prime(n: int, rounds: int = 20) -> bool:
         return n <= _SMALL_PRIME_LIMIT and n in SMALL_PRIMES
     if n < _SMALL_PRIME_LIMIT * _SMALL_PRIME_LIMIT:
         return True
-    if not _strong_test(n, 2):
+    # a square has (D/n) ∈ {0, 1} for every D, so the Lucas search would not end
+    if isqrt(n) ** 2 == n or not _strong_test(n, 2) or not _lucas_test(n):
         return False
     rng = random.Random(n)  # deterministic per candidate, no global state
     for _ in range(rounds):

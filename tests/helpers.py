@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from math import gcd
 
 from cyclocert import (
@@ -15,6 +16,7 @@ from cyclocert import (
     ring_norm,
     ring_pow,
 )
+from cyclocert.numtheory import SMALL_PRIMES, _strong_test
 from cyclocert.ring import is_zero, ring_sub
 
 
@@ -120,3 +122,22 @@ def sieve_primes(limit: int) -> list[int]:
         if flags[i]:
             flags[i * i :: i] = b"\x00" * len(range(i * i, limit + 1, i))
     return [i for i, f in enumerate(flags) if f]
+
+
+def strong_rounds_prime(n: int, rounds: int = 20) -> bool:
+    """The probable-prime test that BPSW replaced; the oracle for is_probable_prime.
+
+    Trial division by SMALL_PRIMES, a base-2 strong test, then ``rounds``
+    strong tests to bases drawn from random.Random(n).
+    """
+    if n < 2:
+        return False
+    for p in SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < SMALL_PRIMES[-1] ** 2:
+        return True
+    if not _strong_test(n, 2):
+        return False
+    rng = random.Random(n)
+    return all(_strong_test(n, rng.randrange(2, n - 1)) for _ in range(rounds))

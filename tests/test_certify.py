@@ -1,5 +1,6 @@
 """Certificate issuance and verification: projection, phases, verdicts, filter."""
 
+import hashlib
 import random
 from dataclasses import replace
 from functools import lru_cache
@@ -15,8 +16,11 @@ from cyclocert import (
     Reason,
     RingElement,
     SeedTrust,
+    UnitKind,
     Verdict,
     cert_decode,
+    cert_encode,
+    classify_unit,
     cyclotomic_value,
     element,
     factorize,
@@ -103,6 +107,22 @@ class TestPhase1:
         result = phase1_generate(ctx, ScriptedDraws([0, 0, 0, 1, 1, 0]))
         assert result.status is Phase1Status.ELEMENT
         assert result.w.coeffs == (3, 1, 6)
+
+    @pytest.mark.parametrize("p", PRIME_DEGREES)
+    def test_twist_projection_is_power_projection(self, p):
+        # for prime N, σ(z)·z⁻¹ is z^(N-1) of the first unit draw
+        bits = dict(GENERATED_SIZES)[p]
+        for seed in range(8):
+            cert = _generated(p, bits, seed % GENERATED_SEEDS)
+            ctx = make_context(cert.N, p, cert.d)
+            result = phase1_generate(ctx, random.Random(seed))
+            replay = random.Random(seed)
+            while True:
+                z = RingElement(tuple(replay.randrange(cert.N) for _ in range(p)))
+                if classify_unit(ctx, z).kind is UnitKind.UNIT:
+                    break
+            assert result.status is Phase1Status.ELEMENT
+            assert result.w == unitary_project(ctx, z)
 
 
 class TestPhase2:
@@ -580,3 +600,32 @@ class TestGenerateCertificate:
         for d in (None, 2):
             with pytest.raises(ValueError, match="degree must be one of"):
                 generate_certificate(32, p=p, d=d, rng=random.Random(0))
+
+
+class TestGoldenDigest:
+    """Fixed-seed certificates and verdict logs, pinned by sha256.
+
+    The digest covers cert_encode text and repr(verdict_log) of
+    generate_certificate at seeds 0 .. seeds - 1.  A change meant to keep
+    output byte-identical must leave every digest as it is.
+    """
+
+    @pytest.mark.parametrize(
+        "p,bits,seeds,digest",
+        [
+            (3, 64, 30, "be7def6030e3341fe9d1a7078288e97b133900ddc08cd9b150a35eb629f9e4d2"),
+            (3, 192, 6, "dd59a61da5259fdeba14bba86ae98b99609908e2cf7e8cb915e758e9cab1efba"),
+            (5, 64, 6, "e614b3b0481e46ddf4ca2347c68376585adf9a7713c0a61087efbed22c68e3e8"),
+            (7, 24, 4, "820e0177e661dd2812690e94cee8847c018c36e4d4fc4a746beb69203831faa7"),
+            (11, 16, 3, "96772ab279ec9108f4755760935c0ef3018463c874d4d7231df930a8b655c17c"),
+            (13, 12, 3, "315592c434bfc15f3f01e91e77da5c8c8475d168539415943fc2d28d005b4935"),
+        ],
+    )
+    def test_fixed_seed_output(self, p, bits, seeds, digest):
+        h = hashlib.sha256()
+        for seed in range(seeds):
+            log = []
+            cert = generate_certificate(bits, p=p, rng=random.Random(seed), verdict_log=log)
+            h.update(cert_encode(cert).encode())
+            h.update(repr(log).encode())
+        assert h.hexdigest() == digest

@@ -1,13 +1,14 @@
 """Scalar number theory: residues, roots of -3, primality, base admissibility."""
 
 import random
+from math import isqrt
 
 import pytest
 
 from cyclocert import is_probable_prime, monogenic_ok, pth_residue, sqrt_minus3
-from cyclocert.numtheory import smooth_part
+from cyclocert.numtheory import _lucas_test, _strong_test, smooth_part
 from cyclocert.reference import REFERENCE_CHAINS_DEGREE3
-from helpers import sieve_primes
+from helpers import sieve_primes, strong_rounds_prime
 
 
 class TestSqrtMinus3:
@@ -88,9 +89,52 @@ class TestIsProbablePrime:
         assert is_probable_prime(p * q) is False
 
     def test_large_composite_semiprime(self):
+        # the square is refused before the Lucas search, which could not end on it
         p = 2**61 - 1
         assert is_probable_prime(p) is True
         assert is_probable_prime(p * p) is False
+
+
+class TestBailliePSW:
+    @pytest.mark.parametrize("n", [3511**2, 2089 * 4177, 2053 * 8209])
+    def test_base2_strong_pseudoprimes_caught(self, n):
+        # beyond trial division; 3511² is caught by the square refusal
+        assert n > 2048**2
+        assert _strong_test(n, 2)
+        assert is_probable_prime(n) is False
+
+    def test_lucas_passes_odd_primes(self):
+        assert all(_lucas_test(n) for n in sieve_primes(200_000)[1:])
+
+    def test_lucas_pseudoprimes_below_1e5(self):
+        # the extra-strong Lucas pseudoprimes (OEIS A217719); none is a base-2 strong one
+        primes = set(sieve_primes(100_000))
+        passing = [
+            n
+            for n in range(9, 100_000, 2)
+            if n not in primes and isqrt(n) ** 2 != n and _lucas_test(n)
+        ]
+        assert passing == [
+            989, 3239, 5777, 10877, 27971, 29681, 30739, 31631, 39059, 72389, 73919, 75077
+        ]
+        assert not any(_strong_test(n, 2) for n in passing)
+
+    def test_agrees_with_twenty_strong_rounds(self):
+        rng = random.Random(2024)
+
+        def random_prime(bits):
+            while True:
+                n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+                if strong_rounds_prime(n):
+                    return n
+
+        primes = [random_prime(rng.randrange(64, 769)) for _ in range(16)]
+        products = [a * b for a, b in zip(primes, primes[1:])]
+        odd = [rng.getrandbits(rng.randrange(64, 769)) | 1 for _ in range(300)]
+        for n in primes + products + odd:
+            assert is_probable_prime(n) is strong_rounds_prime(n), n
+        assert all(is_probable_prime(n) for n in primes)
+        assert not any(is_probable_prime(n) for n in products)
 
 
 class TestSmoothPart:
