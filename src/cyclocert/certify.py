@@ -130,8 +130,9 @@ def phase1_generate(ctx: RingContext, rng: random.Random) -> Phase1Result:
 
     A zero divisor among the draws is promoted to COMPOSITE with the factor
     it exposes; zero draws and projections landing on 1 are redrawn.  The
-    caller is responsible for the structural bound, for gcd(N, p·d) = 1,
-    and for d being no p-th power residue mod N.
+    caller is responsible for the structural bound and for d being an
+    admissible base (_base_zeta); the first unit draw raises ValueError
+    unless N ≡ 1 (mod p) and gcd(N, d) = 1.
     """
     n = ctx.N
     zeta = None

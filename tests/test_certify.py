@@ -108,6 +108,12 @@ class TestPhase1:
         assert result.status is Phase1Status.ELEMENT
         assert result.w.coeffs == (3, 1, 6)
 
+    def test_unit_draw_needs_n_congruent_one(self):
+        # ζ = d^((N-1)/p) is undefined for N = 11 at p = 3
+        ctx = make_context(11, 3, 2)
+        with pytest.raises(ValueError, match="n ≡ 1"):
+            phase1_generate(ctx, ScriptedDraws([1, 1, 0]))
+
     @pytest.mark.parametrize("p", PRIME_DEGREES)
     def test_twist_projection_is_power_projection(self, p):
         # for prime N, σ(z)·z⁻¹ is z^(N-1) of the first unit draw
