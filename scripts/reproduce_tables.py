@@ -26,6 +26,7 @@ from cyclocert import (
     structural_bound_ok,
     verify,
 )
+from cyclocert.bench import REPETITIONS
 from cyclocert.reference import (
     REFERENCE_BASE_D,
     REFERENCE_CHAINS_DEGREE3,
@@ -33,7 +34,7 @@ from cyclocert.reference import (
 )
 
 
-def certify(row, p, repetitions):
+def certify(row, p):
     ctx = make_context(row.N, p, REFERENCE_BASE_D)
     rng = random.Random(row.bits)
     while True:
@@ -43,7 +44,7 @@ def certify(row, p, repetitions):
             "1", p, REFERENCE_BASE_D, row.N, row.q, row.k, result.w, SeedTrust.PROBABLE
         )
         times = []
-        for _ in range(repetitions):
+        for _ in range(REPETITIONS):
             start = time.perf_counter()
             verdict = verify(cert)
             times.append(time.perf_counter() - start)
@@ -53,9 +54,7 @@ def certify(row, p, repetitions):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repetitions", type=int, default=9)
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     ok = True
     for p, rows, label in (
@@ -73,7 +72,7 @@ def main() -> int:
                 root_ok = s % 2 == 1 and (s * s + 3) % row.q == 0 and s in sqrt_minus3(row.q)
             else:
                 root_ok = True
-            verdict, ms = certify(row, p, args.repetitions)
+            verdict, ms = certify(row, p)
             line_ok = bound and root_ok and verdict.outcome is Outcome.PRIME
             ok &= line_ok
             print(

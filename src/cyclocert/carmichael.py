@@ -15,26 +15,16 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd
 
-from .numtheory import _sieve, is_probable_prime, pth_residue
+from .numtheory import SMALL_PRIMES, is_probable_prime, pth_residue
 from .ring import RingElement, UnitKind, classify_unit, one, ring_pow, unchecked_context
 
 FACTOR_LIMIT = 10**12
 DIRECT_LIMIT = 60
 SEARCH_LIMIT = 10**7
 
-_TRIAL_LIMIT = 10**6
-_trial_primes: list[int] | None = None
-
-
-def _get_trial_primes() -> list[int]:
-    global _trial_primes
-    if _trial_primes is None:
-        _trial_primes = _sieve(_TRIAL_LIMIT)
-    return _trial_primes
-
 
 def _pollard_rho(n: int) -> int:
-    """Brent-cycle rho with a deterministic parameter sweep; n composite, odd."""
+    """Floyd-cycle rho with a deterministic parameter sweep; n composite, odd."""
     if n % 2 == 0:
         return 2
     for c in range(1, 64):
@@ -53,14 +43,15 @@ def _pollard_rho(n: int) -> int:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization as (prime, exponent) pairs, ascending.
 
-    Trial division by sieved primes up to 1e6, then deterministic rho on
-    whatever composite cofactor remains.
+    Trial division by numtheory.SMALL_PRIMES (the primes up to 2,048);
+    what remains is split by deterministic rho until BPSW passes every
+    part.
     """
     if n < 2:
         raise ValueError("nothing to factor below 2")
     factors: dict[int, int] = {}
     rest = n
-    for p in _get_trial_primes():
+    for p in SMALL_PRIMES:
         if p * p > rest:
             break
         while rest % p == 0:

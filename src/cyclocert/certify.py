@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .chain import reversed_construct, structural_bound_ok
+from .chain import DEFAULT_K_MAX, reversed_construct, structural_bound_ok
 from .numtheory import SeedTrust, monogenic_ok, pth_power_symbol
 from .numtheory import pth_residue  # noqa: F401  perfbench/tracing.py wraps certify.pth_residue
 from .ring import (
@@ -28,7 +28,6 @@ from .ring import (
     RingElement,
     UnitKind,
     classify_unit,
-    cyclotomic_value,
     element,
     is_zero,
     make_context,
@@ -118,7 +117,7 @@ def phase1_generate(ctx: RingContext, rng: random.Random) -> Phase1Result:
     """Draw random elements until one projects to a usable unitary w ≠ 1.
 
     The projection z^(N-1) is computed as σ(z)·z⁻¹, where σ is the twist
-    of _twists and z⁻¹ = ∏_{i≥1} σ^i(z) · norm(z)⁻¹: p - 1 ring products
+    of _twist_orbit and z⁻¹ = ∏_{i≥1} σ^i(z)·norm(z)⁻¹: p - 1 ring products
     and one scalar inverse.  ζ = d^((N-1)/p) is computed once, at the first
     unit draw.  For prime N the result is z^(N-1): with N ≡ 1 (mod p) and
     d not a p-th power residue, Z[θ]/(N) is the field F_(N^p) and
@@ -145,11 +144,9 @@ def phase1_generate(ctx: RingContext, rng: random.Random) -> Phase1Result:
             continue
         if zeta is None:
             zeta = pth_power_symbol(ctx.d, n, ctx.p)
-        # σ(z)·∏_{i≥1} σ^i(z) = σ(z)·z⁻¹·norm(z), in p - 1 products
-        twists = _twists(ctx, z, zeta)
-        w = twists[0]
-        for t in twists:
-            w = ring_mul(ctx, w, t)
+        # σ(z)·∏_{i≥1} σ^i(z) = σ(z)·z⁻¹·norm(z)
+        first, orbit = _twist_orbit(ctx, z, zeta)
+        w = ring_mul(ctx, first, orbit)
         # classify_unit found norm(z) coprime to N
         inverse = pow(ring_norm(ctx, z), -1, n)
         w = RingElement(tuple(c * inverse % n for c in w.coeffs))
@@ -207,27 +204,29 @@ def _frobenius_holds(ctx: RingContext, w: RingElement, zeta: int) -> bool:
     """
     if pow(zeta, ctx.p, ctx.N) != 1:
         return False
-    twists = _twists(ctx, w, zeta)
-    product = w
-    for t in twists:
-        product = ring_mul(ctx, product, t)
-    return product == one(ctx) and ring_pow(ctx, w, ctx.N) == twists[0]
+    first, orbit = _twist_orbit(ctx, w, zeta)
+    return ring_mul(ctx, w, orbit) == one(ctx) and ring_pow(ctx, w, ctx.N) == first
 
 
-def _twists(ctx: RingContext, a: RingElement, zeta: int) -> list[RingElement]:
-    """[σ(a), σ²(a), ..., σ^(p-1)(a)] for σ(Σ a_j θ^j) = Σ a_j ζ^j θ^j.
+def _twist_orbit(ctx: RingContext, a: RingElement, zeta: int) -> tuple[RingElement, RingElement]:
+    """(σ(a), ∏_{i=1}^{p-1} σ^i(a)) for σ(Σ a_j θ^j) = Σ a_j ζ^j θ^j.
 
     σ^i multiplies the coefficient of θ^j by ζ^(i·j), and ζ^(i·j) is read
-    at i·j mod p, which is exact whenever ζ^p ≡ 1.
+    at i·j mod p, which is exact whenever ζ^p ≡ 1.  The product takes
+    p - 2 ring products; for prime N it is norm(a)·a⁻¹ (phase1_generate).
     """
     n, p = ctx.N, ctx.p
     powers = [1]
     for _ in range(p - 1):
         powers.append(powers[-1] * zeta % n)
-    return [
+    twists = [
         RingElement(tuple(c * powers[i * j % p] % n for j, c in enumerate(a.coeffs)))
         for i in range(1, p)
     ]
+    orbit = twists[0]
+    for t in twists[1:]:
+        orbit = ring_mul(ctx, orbit, t)
+    return twists[0], orbit
 
 
 def _base_zeta(n: int, p: int, d: int) -> int | None:
@@ -285,12 +284,11 @@ def verify(cert: Certificate) -> Verdict:
     zeta = _base_zeta(n, p, d)
     if zeta is None:
         return Verdict(Outcome.REJECT, Reason.RESIDUE)
-    phi = cyclotomic_value(n, p)
-    if k < 1 or k * q != phi:
-        return Verdict(Outcome.REJECT, Reason.FORMAT)
     try:
         ctx = make_context(n, p, d)
     except ValueError:
+        return Verdict(Outcome.REJECT, Reason.FORMAT)
+    if k < 1 or k * q != ctx.phi_p_n:
         return Verdict(Outcome.REJECT, Reason.FORMAT)
     w = cert.w
     if len(w.coeffs) != p or any(not 0 <= c < n for c in w.coeffs):
@@ -315,9 +313,9 @@ def sprp_filter(N: int, d: int, z: RingElement, k: int, p_seed: int, ell: int) -
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
-    if k < 1 or k * p_seed**ell != cyclotomic_value(N, 3):
-        raise ValueError("factorization N^2+N+1 = k * p_seed^ell does not hold")
     ctx = make_context(N, 3, d)
+    if k < 1 or k * p_seed**ell != ctx.phi_p_n:
+        raise ValueError("factorization N^2+N+1 = k * p_seed^ell does not hold")
     w = unitary_project(ctx, element(ctx, z.coeffs))
     # with q = 1 phase 2 answers RETRY exactly when X = w^k is 1
     if phase2_cyclotomic(ctx, w, k, 1).outcome is Outcome.RETRY:
@@ -332,7 +330,7 @@ def generate_certificate(
     target_bits: int,
     p: int = 3,
     d: int | None = None,
-    k_max: int = 10_000,
+    k_max: int = DEFAULT_K_MAX,
     rng: random.Random | None = None,
     verdict_log: list[tuple[int, Verdict]] | None = None,
 ) -> Certificate:

@@ -19,7 +19,7 @@ from .certfile import CertFileError, cert_decode, cert_encode
 from .certify import GenerationError, Outcome, Verdict, generate_certificate, sprp_filter, verify
 from .chain import DEFAULT_K_MAX, cofactor_split
 from .numtheory import cyclotomic_roots, is_probable_prime
-from .ring import RingElement, cyclotomic_value, make_context
+from .ring import RingElement, make_context
 
 EXIT_PRIME = 0
 EXIT_REJECT = 2
@@ -93,11 +93,14 @@ def _cmd_filter(args) -> int:
         print("filter needs an odd n > 3 with n ≡ 1 (mod 3)", file=sys.stderr)
         return 1
     try:
-        make_context(n, 3, d)
+        ctx = make_context(n, 3, d)
     except ValueError as exc:
         print(f"filter failed: {exc}", file=sys.stderr)
         return 1
-    found = cofactor_split(cyclotomic_value(n, 3), DEFAULT_K_MAX)
+    if args.bases < 1:
+        print(f"filter failed: --bases must be at least 1, got {args.bases}", file=sys.stderr)
+        return 1
+    found = cofactor_split(ctx.phi_p_n, DEFAULT_K_MAX)
     if found is None or not is_probable_prime(found[1]):
         print("no factorization n²+n+1 = k·q with a small cofactor found", file=sys.stderr)
         return 1
@@ -145,7 +148,11 @@ def _cmd_bench(args) -> int:
             f"bits={row.bits} verify_ms={row.verify_ms:.3f} "
             f"n_digits={row.n_digits} q_digits={row.q_digits}"
         )
-    print(f"slope={'none' if report.slope is None else f'{report.slope:.3f}'}")
+    if report.slope is None:
+        print("slope=none")
+    else:
+        ratio = report.rows[-1].verify_ms / report.rows[0].verify_ms
+        print(f"slope={report.slope:.3f} ratio={ratio:.1f}")
     return 0
 
 

@@ -1,8 +1,10 @@
 """Pseudoprime classification: factoring, Korselt conditions, direct sweeps."""
 
+import random
 from math import gcd
 
 import pytest
+from helpers import sieve_primes
 
 from cyclocert import (
     carmichael_direct,
@@ -11,6 +13,27 @@ from cyclocert import (
     korselt_check,
     search_carmichael,
 )
+
+
+def trial_factorize(n):
+    """Factorization by division with every d up to √n; the oracle for factorize."""
+    factors = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            factors.append((d, e))
+        d += 1
+    if n > 1:
+        factors.append((n, 1))
+    return factors
+
+
+# primes above the trial-division table, so rho must split their products
+RHO_PRIMES = [p for p in sieve_primes(10**6) if p > 2048]
 
 
 class TestFactorize:
@@ -34,6 +57,20 @@ class TestFactorize:
     def test_below_two_rejected(self):
         with pytest.raises(ValueError):
             factorize(1)
+
+    def test_matches_trial_division_below_5e4(self):
+        for n in range(2, 5 * 10**4):
+            assert factorize(n) == trial_factorize(n), n
+
+    @pytest.mark.parametrize("exponents", [(1, 1), (1, 1, 1), (2,), (3,)])
+    def test_rho_splits_products_of_large_primes(self, exponents):
+        rng = random.Random(0)
+        for _ in range(100):
+            primes = sorted(rng.sample(RHO_PRIMES, len(exponents)))
+            n = 1
+            for p, e in zip(primes, exponents):
+                n *= p**e
+            assert factorize(n) == list(zip(primes, exponents)), n
 
 
 class TestKorseltCheck:

@@ -188,6 +188,14 @@ class TestFilter:
         assert main(["filter", "--n", "13", "--d", str(d), "--bases", str(bases)]) == 1
         assert "filter failed: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bases", [-1, 0])
+    def test_bases_below_one_refused(self, bases, capsys):
+        # a count of 0 would pass having tested nothing
+        assert main(["filter", "--n", "7", "--d", "2", "--bases", str(bases)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("filter failed: ")
+
 
 class TestCarmichaelCommand:
     def test_empty_search(self, capsys):
@@ -202,7 +210,7 @@ class TestBenchCommand:
         assert main(["bench", "--bits", "32,40", "--rng-seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "bits=32" in out and "bits=40" in out
-        assert "slope=" in out
+        assert "slope=" in out and "ratio=" in out
 
     def test_bad_sizes(self, capsys):
         assert main(["bench", "--bits", "40,32"]) == 1
