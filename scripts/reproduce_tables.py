@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import random
-import statistics
 import sys
-import time
 
 from cyclocert import (
     Certificate,
@@ -24,9 +22,8 @@ from cyclocert import (
     phase1_generate,
     sqrt_minus3,
     structural_bound_ok,
-    verify,
 )
-from cyclocert.bench import REPETITIONS
+from cyclocert.bench import time_verify
 from cyclocert.reference import (
     REFERENCE_BASE_D,
     REFERENCE_CHAINS_DEGREE3,
@@ -43,14 +40,9 @@ def certify(row, p):
         cert = Certificate(
             "1", p, REFERENCE_BASE_D, row.N, row.q, row.k, result.w, SeedTrust.PROBABLE
         )
-        times = []
-        for _ in range(REPETITIONS):
-            start = time.perf_counter()
-            verdict = verify(cert)
-            times.append(time.perf_counter() - start)
-        if verdict.outcome is Outcome.RETRY:
-            continue  # unitary element had too small an order; redraw
-        return verdict, statistics.median(times) * 1000.0
+        [(verdict, ms)] = time_verify([cert])
+        if verdict.outcome is not Outcome.RETRY:  # RETRY: w had too small an order; redraw
+            return verdict, ms
 
 
 def main() -> int:
@@ -63,9 +55,7 @@ def main() -> int:
     ):
         print(f"== reference chains ({label}) ==")
         for row in rows:
-            phi = cyclotomic_value(row.N, p)
-            assert phi % row.q == 0
-            k = phi // row.q
+            assert cyclotomic_value(row.N, p) % row.q == 0
             bound = structural_bound_ok(row.N, row.q, p)
             if p == 3:
                 s = 2 * row.N + 1
@@ -76,7 +66,7 @@ def main() -> int:
             line_ok = bound and root_ok and verdict.outcome is Outcome.PRIME
             ok &= line_ok
             print(
-                f"bits={row.bits:4d} k={k:3d} bound={bound} root={root_ok} "
+                f"bits={row.bits:4d} k={row.k:3d} bound={bound} root={root_ok} "
                 f"verdict={verdict.outcome.value} verify_ms={ms:.2f}"
             )
     print("all rows reproduced" if ok else "REPRODUCTION FAILED")

@@ -13,9 +13,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
-from .numtheory import SMALL_PRIMES, is_probable_prime, pth_residue
+from .numtheory import SMALL_PRIMES, _sieve, is_probable_prime, pth_residue
 from .ring import RingElement, UnitKind, classify_unit, one, ring_pow, unchecked_context
 
 FACTOR_LIMIT = 10**12
@@ -154,19 +154,18 @@ def carmichael_direct(n: int, d: int) -> bool:
 def search_carmichael(bound: int, d: int) -> list[CarmichaelReport]:
     """All composite n ≡ 1 (mod 3) up to bound with korselt_ok, ascending.
 
-    Factors every candidate through one smallest-prime-factor sieve up to
-    the bound, which is capped at SEARCH_LIMIT.
+    Factors every candidate through one smallest-prime-factor table up to
+    the bound, which is capped at SEARCH_LIMIT.  Each prime ℓ <= √bound
+    marks its multiples from ℓ², largest ℓ first, so a composite ends up
+    holding its smallest prime factor.
     """
+    if d < 2:
+        raise ValueError("base d must exceed 1")
     if bound > SEARCH_LIMIT:
         raise ValueError(f"search capped at {SEARCH_LIMIT}")
     spf = array("i", range(bound + 1))
-    i = 2
-    while i * i <= bound:
-        if spf[i] == i:
-            for j in range(i * i, bound + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-        i += 1
+    for ell in reversed(_sieve(isqrt(max(bound, 0)))):
+        spf[ell * ell :: ell] = array("i", [ell]) * len(range(ell * ell, bound + 1, ell))
     hits = []
     for n in range(4, bound + 1):
         if n % 3 != 1 or gcd(n, 3 * d) != 1:

@@ -41,8 +41,6 @@ from .ring import (
 CERT_FORMAT_VERSION = "1"
 # candidates generate_certificate constructs before it gives up
 MAX_ROUNDS = 64
-# phase-1 draws per candidate while phase 2 answers RETRY
-PHASE1_RETRIES = 8
 # random elements one phase-1 call draws before it reports EXHAUSTED
 PHASE1_TRIES = 64
 # largest base select_base_d tries
@@ -171,8 +169,8 @@ def _cyclotomic_verdict(ctx: RingContext, x: RingElement) -> Verdict:
     """The norm/gcd ladder on X = w^k: g = gcd(norm(X - 1), N) decides.
 
     Given X^q = 1, g = 1 certifies Phi_q(X) ≡ 0 and yields PRIME; g = N
-    means X ≡ 1, so the base had too small an order and the caller should
-    retry phase 1; anything in between is a factor of N whatever X^q is.
+    means X ≡ 1, so the base had too small an order (RETRY); anything in
+    between is a factor of N whatever X^q is.
     """
     g = gcd(ring_norm(ctx, ring_sub(ctx, x, one(ctx))), ctx.N)
     if g == 1:
@@ -307,9 +305,9 @@ def sprp_filter(N: int, d: int, z: RingElement, k: int, p_seed: int, ell: int) -
     Requires the factorization N² + N + 1 = k · p_seed^ell.  With
     w = z^(N-1), the filter passes when w^k = 1, or when some j < ell gives
     X = w^(k·p_seed^j) with X^p_seed = 1 and gcd(norm(X - 1), N) = 1, the
-    zero-divisor-free witness that Phi_p_seed(X) ≡ 0.  Each j is one
-    phase-2 check with k·p_seed^j in place of k.  The generation pipeline
-    calls this with p_seed = q and ell = 1.
+    zero-divisor-free witness that Phi_p_seed(X) ≡ 0.  One chain X -> X^p_seed
+    from X = w^k visits every j; the first X^p_seed = 1 decides, since every
+    later X is 1.  Only `cyclocert filter` calls this.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
@@ -317,13 +315,15 @@ def sprp_filter(N: int, d: int, z: RingElement, k: int, p_seed: int, ell: int) -
     if k < 1 or k * p_seed**ell != ctx.phi_p_n:
         raise ValueError("factorization N^2+N+1 = k * p_seed^ell does not hold")
     w = unitary_project(ctx, element(ctx, z.coeffs))
-    # with q = 1 phase 2 answers RETRY exactly when X = w^k is 1
-    if phase2_cyclotomic(ctx, w, k, 1).outcome is Outcome.RETRY:
+    x = ring_pow(ctx, w, k)
+    if x == one(ctx):
         return True
-    return any(
-        phase2_cyclotomic(ctx, w, k * p_seed**j, p_seed).outcome is Outcome.PRIME
-        for j in range(ell)
-    )
+    for _ in range(ell):
+        power = ring_pow(ctx, x, p_seed)
+        if power == one(ctx):
+            return _cyclotomic_verdict(ctx, x).outcome is Outcome.PRIME
+        x = power
+    return False
 
 
 def generate_certificate(
@@ -339,8 +339,10 @@ def generate_certificate(
     With d = None the smallest admissible base is chosen per candidate; a
     fixed d instead causes incompatible candidates to be resampled.  Every
     verdict observed along the way is appended to verdict_log as an
-    (N, verdict) pair when given.  All randomness flows from the single rng,
-    so a fixed seed reproduces the certificate bit for bit.
+    (N, verdict) pair when given.  Each round draws one candidate and one
+    phase-1 element, and every outcome short of PRIME resamples the
+    candidate.  All randomness flows from the single rng, so a fixed seed
+    reproduces the certificate bit for bit.
     """
     if p not in PRIME_DEGREES:
         raise ValueError(f"degree must be one of {PRIME_DEGREES}")
@@ -362,33 +364,24 @@ def generate_certificate(
             if _base_zeta(n, p, d) is None:
                 continue  # candidate incompatible with the fixed base; resample
             d_used = d
-        ctx = make_context(n, p, d_used)
-        for _ in range(PHASE1_RETRIES):
-            result = phase1_generate(ctx, rng)
-            if result.status is Phase1Status.COMPOSITE:
-                if verdict_log is not None:
-                    verdict_log.append(
-                        (n, Verdict(Outcome.COMPOSITE, Reason.ZERO_DIVISOR, witness=result.witness))
-                    )
-                break
-            if result.status is Phase1Status.EXHAUSTED:
-                break
-            cert = Certificate(
-                version=CERT_FORMAT_VERSION,
-                p=p,
-                d=d_used,
-                N=n,
-                q=q,
-                k=k,
-                w=result.w,
-                seed_trust=SeedTrust.PROBABLE,
-            )
-            verdict = verify(cert)
-            if verdict_log is not None:
-                verdict_log.append((n, verdict))
-            if verdict.outcome is Outcome.PRIME:
-                return cert
-            if verdict.outcome is Outcome.RETRY:
-                continue  # new unitary element for the same candidate
-            break  # certificate-level failure; resample the candidate
+        result = phase1_generate(make_context(n, p, d_used), rng)
+        if result.status is Phase1Status.COMPOSITE and verdict_log is not None:
+            verdict_log.append((n, Verdict(Outcome.COMPOSITE, Reason.ZERO_DIVISOR, result.witness)))
+        if result.status is not Phase1Status.ELEMENT:
+            continue
+        cert = Certificate(
+            version=CERT_FORMAT_VERSION,
+            p=p,
+            d=d_used,
+            N=n,
+            q=q,
+            k=k,
+            w=result.w,
+            seed_trust=SeedTrust.PROBABLE,
+        )
+        verdict = verify(cert)
+        if verdict_log is not None:
+            verdict_log.append((n, verdict))
+        if verdict.outcome is Outcome.PRIME:
+            return cert
     raise GenerationError("certificate generation exhausted its rounds")

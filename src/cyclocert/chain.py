@@ -105,8 +105,9 @@ def _sieve_table(p: int) -> tuple[array, array, array, array, tuple[array, ...]]
     # the table, and lists of boxed ints left behind fragment the allocator
     primes = array("H", (ell for ell in _sieve(SIEVE_BOUND) if ell not in (2, p)))
     inverses = array("H", (pow(2 * p, -1, ell) for ell in primes))
-    split = array("H", (ell for ell in primes if ell % p == 1))
-    split_inverses = array("H", (pow(2 * p, -1, ell) for ell in split))
+    is_split = [ell % p == 1 for ell in primes]
+    split = array("H", compress(primes, is_split))
+    split_inverses = array("H", compress(inverses, is_split))
     root_columns = tuple(array("H") for _ in range(p - 1))
     for ell in split:
         for column, r in zip(root_columns, sorted(cyclotomic_roots(p, ell))):

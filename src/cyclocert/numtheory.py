@@ -226,19 +226,17 @@ def pth_residue(a: int, n: int, p: int) -> bool:
 
 
 def is_squarefree_small(d: int) -> bool:
-    """Squarefreeness by trial division; only valid below SMALL_BASE_LIMIT."""
+    """Squarefreeness of d >= 1 by one gcd; only valid up to SMALL_BASE_LIMIT.
+
+    g = gcd(d, ∏ SMALL_PRIMES) is the product of the small primes dividing
+    d, and d/g shares one of them exactly when its square divides d.  A
+    prime above the trial limit divides d at most once, since its square
+    exceeds SMALL_BASE_LIMIT.
+    """
     if d > SMALL_BASE_LIMIT:
         raise ValueError(f"squarefree check by trial division capped at {SMALL_BASE_LIMIT}")
-    rest = d
-    for p in SMALL_PRIMES:
-        if p * p > rest:
-            break
-        if rest % p == 0:
-            rest //= p
-            if rest % p == 0:
-                return False
-    # leftover cofactor is 1 or a prime appearing once
-    return True
+    g = gcd(d, _SMALL_PRIME_PRODUCT)
+    return gcd(d // g, g) == 1
 
 
 def monogenic_ok(d: int, p: int) -> bool:

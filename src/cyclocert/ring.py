@@ -48,22 +48,11 @@ def cyclotomic_value(n: int, p: int) -> int:
     return sum(n**i for i in range(p))
 
 
-def _build_context(N: int, p: int, d: int) -> RingContext:
-    if p not in PRIME_DEGREES:
-        raise ValueError(f"degree must be one of {PRIME_DEGREES}")
-    if d <= 0:
-        raise ValueError("base d must be positive")
-    d_red = d % N
-    if d_red == 0:
-        raise ValueError("degenerate base: d ≡ 0 (mod N)")
-    return RingContext(N=N, p=p, d=d_red, phi_p_n=cyclotomic_value(N, p))
-
-
 def make_context(N: int, p: int, d: int) -> RingContext:
     """Context for the ring Z[x]/(N, x**p - d) with d reduced mod N."""
     if N <= 3 or N % 2 == 0:
         raise ValueError("modulus must be odd and greater than 3")
-    ctx = _build_context(N, p, d)
+    ctx = unchecked_context(N, p, d)
     if ctx.d == 1:
         # x**p - 1 splits off x - 1; keep the base strictly inside (1, N)
         raise ValueError("degenerate base: d ≡ 1 (mod N)")
@@ -74,7 +63,14 @@ def unchecked_context(N: int, p: int, d: int) -> RingContext:
     """Context without the oddness gate; composite sweeps visit even N too."""
     if N < 2:
         raise ValueError("modulus must be at least 2")
-    return _build_context(N, p, d)
+    if p not in PRIME_DEGREES:
+        raise ValueError(f"degree must be one of {PRIME_DEGREES}")
+    if d <= 0:
+        raise ValueError("base d must be positive")
+    d_red = d % N
+    if d_red == 0:
+        raise ValueError("degenerate base: d ≡ 0 (mod N)")
+    return RingContext(N=N, p=p, d=d_red, phi_p_n=cyclotomic_value(N, p))
 
 
 def element(ctx: RingContext, coeffs: Iterable[int]) -> RingElement:

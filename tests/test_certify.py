@@ -8,6 +8,8 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclocert import (
     Certificate,
@@ -40,6 +42,7 @@ from cyclocert import (
     verify,
 )
 from cyclocert import certify
+from cyclocert.cli import exit_code_for
 from cyclocert.ring import PRIME_DEGREES
 from cyclocert.reference import REFERENCE_CHAINS_DEGREE3, REFERENCE_CHAINS_DEGREE5
 from helpers import ScriptedDraws, sieve_primes, slow_pow, sprp_filter_loop
@@ -292,7 +295,8 @@ def _reference_variants(row, seed):
 GENERATED_SIZES = [(3, 64), (5, 64), (7, 24), (11, 16), (13, 12)]
 GENERATED_SEEDS = 3
 
-FORGED = cert_decode((Path(__file__).parent / "data" / "forged_8299.cert").read_text())
+DATA = Path(__file__).parent / "data"
+FORGED = cert_decode((DATA / "forged_8299.cert").read_text())
 
 
 @lru_cache(maxsize=None)
@@ -405,6 +409,75 @@ class TestSingleChainVerdicts:
             full_length += any(e == n for e, n in exponents)
         # at least every genuine certificate reaches w^N = σ(w)
         assert full_length >= len(GENERATED_SIZES)
+
+
+class TestForgedSeed:
+    """Composite N whose composite seed q passes every check verify makes.
+
+    Each component r | N passes the Frobenius check on its own; the theorem
+    excludes such N only when q is prime, which verify does not check.
+    """
+
+    FILES = ["forged_28009.cert", "forged_53971.cert"]
+
+    @pytest.mark.parametrize("name", FILES)
+    def test_n_and_q_composite(self, name):
+        cert = cert_decode((DATA / name).read_text())
+        assert not is_probable_prime(cert.N) and not is_probable_prime(cert.q)
+        assert len(factorize(cert.N)) == 2
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: verify does not check q")
+    @pytest.mark.parametrize("name", FILES)
+    def test_rejected(self, name):
+        assert verify(cert_decode((DATA / name).read_text())).outcome is Outcome.REJECT
+
+
+_HUGE = 2**1024
+
+
+@st.composite
+def _hostile_certs(draw):
+    """A genuine certificate with one to three fields replaced by hostile values.
+
+    The other fields keep their genuine values, so that draws also reach the
+    ring checks.
+    """
+    base = draw(st.sampled_from([FORGED, _generated(3, 64, 0), _generated(5, 64, 0)]))
+    names = ["p", "N", "d", "q", "k", "w"]
+    chosen = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+
+    def field(name, genuine, hostile):
+        return draw(hostile) if name in chosen else genuine
+
+    def hostile_int(name, genuine):
+        return field(
+            name,
+            genuine,
+            st.one_of(
+                st.sampled_from([genuine - 1, genuine + 1, -genuine, genuine * genuine]),
+                st.integers(-3, 64),
+                st.integers(-_HUGE, _HUGE),
+            ),
+        )
+
+    p = field("p", base.p, st.sampled_from(PRIME_DEGREES + (0, 2, 17)))
+    n = hostile_int("N", base.N)
+    size = max(draw(st.sampled_from([p - 1, p, p + 1])), 0)
+    coeff = st.one_of(st.integers(0, max(n - 1, 0)), st.integers(-_HUGE, _HUGE))
+    w = field("w", base.w.coeffs, st.lists(coeff, min_size=size, max_size=size))
+    d, q, k = hostile_int("d", base.d), hostile_int("q", base.q), hostile_int("k", base.k)
+    return Certificate("1", p, d, n, q, k, RingElement(tuple(w)), SeedTrust.PROBABLE)
+
+
+class TestHostileFields:
+    @given(_hostile_certs())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_verify_never_raises(self, cert):
+        verdict = verify(cert)
+        assert isinstance(verdict, Verdict)
+        exit_code_for(verdict)  # every outcome maps to an exit code
+        if verdict.outcome is Outcome.PRIME:
+            assert is_probable_prime(cert.N)
 
 
 def _composite_sweep_certs(p, limit):
@@ -599,6 +672,15 @@ class TestGenerateCertificate:
     def test_degree7_generation(self):
         cert = generate_certificate(20, p=7, rng=random.Random(6))
         assert cert.p == 7
+        assert verify(cert).outcome is Outcome.PRIME
+
+    @pytest.mark.parametrize("bits,seed", [(3, 46), (4, 36)])
+    def test_retry_resamples_the_candidate(self, bits, seed):
+        # w^k = 1 happens with probability 1/q, so only tiny q show it
+        log = []
+        cert = generate_certificate(bits, rng=random.Random(seed), verdict_log=log)
+        assert any(verdict.outcome is Outcome.RETRY for _, verdict in log)
+        assert log[-1] == (cert.N, Verdict(Outcome.PRIME))
         assert verify(cert).outcome is Outcome.PRIME
 
     @pytest.mark.parametrize("p", [-3, 0, 1, 2, 4, 9, 15, 17])

@@ -204,6 +204,14 @@ class TestCarmichaelCommand:
         assert captured.out == ""
         assert "count=0" in captured.err
 
+    @pytest.mark.parametrize("d", [0, 1, -2])
+    def test_base_below_two_refused(self, d, capsys):
+        # with d = 0, gcd(n, 3d) = n would skip every n and report count=0
+        assert main(["carmichael", "--max", "100", "--d", str(d)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("search failed: ")
+
 
 class TestBenchCommand:
     def test_small_bench(self, capsys):

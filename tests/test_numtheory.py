@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 
 from cyclocert import is_probable_prime, monogenic_ok, pth_residue, sqrt_minus3
-from cyclocert.numtheory import _lucas_test, _strong_test, smooth_part
+from cyclocert.numtheory import _lucas_test, _strong_test, is_squarefree_small, smooth_part
 from cyclocert.reference import REFERENCE_CHAINS_DEGREE3
 from helpers import sieve_primes, strong_rounds_prime
 
@@ -152,6 +152,37 @@ class TestSmoothPart:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             smooth_part(0, 10)
+
+
+def squarefree_flags(limit):
+    """Squarefreeness of 0 .. limit by striking the multiples of every square."""
+    flags = [True] * (limit + 1)
+    for m in range(2, isqrt(limit) + 1):
+        for j in range(m * m, limit + 1, m * m):
+            flags[j] = False
+    return flags
+
+
+class TestIsSquarefreeSmall:
+    def test_matches_square_sieve(self):
+        flags = squarefree_flags(2 * 10**5)
+        assert all(is_squarefree_small(d) == flags[d] for d in range(1, 2 * 10**5 + 1))
+
+    @pytest.mark.parametrize(
+        "d,expected",
+        [
+            (997**2, False),
+            (991 * 997, True),
+            (2039 * 487, True),  # a prime above the trial limit times a small one
+            (2 * 499979, True),  # 499979 is prime
+            (10**6, False),
+            (999983, True),  # the largest prime below the cap
+            (2 * 3 * 5 * 7 * 11 * 13 * 17, True),
+            (2**2 * 249989, False),
+        ],
+    )
+    def test_products_near_the_cap(self, d, expected):
+        assert is_squarefree_small(d) is expected
 
 
 class TestMonogenicOk:
