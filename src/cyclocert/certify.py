@@ -39,10 +39,8 @@ from .ring import (
 )
 
 CERT_FORMAT_VERSION = "1"
-# candidates generate_certificate constructs before it gives up
+# rounds generate_certificate makes before it gives up
 MAX_ROUNDS = 64
-# random elements one phase-1 call draws before it reports EXHAUSTED
-PHASE1_TRIES = 64
 # largest base select_base_d tries
 BASE_D_MAX = 1000
 
@@ -88,7 +86,7 @@ class Verdict:
 
 
 class GenerationError(RuntimeError):
-    """Certificate generation exhausted its attempt budget."""
+    """Certificate generation exhausted its rounds (MAX_ROUNDS)."""
 
 
 def unitary_project(ctx: RingContext, z: RingElement) -> RingElement:
@@ -112,45 +110,41 @@ class Phase1Result:
 
 
 def phase1_generate(ctx: RingContext, rng: random.Random) -> Phase1Result:
-    """Draw random elements until one projects to a usable unitary w ≠ 1.
+    """Draw one random element z and project it to a unitary w = z^(N-1).
 
     The projection z^(N-1) is computed as σ(z)·z⁻¹, where σ is the twist
-    of _twist_orbit and z⁻¹ = ∏_{i≥1} σ^i(z)·norm(z)⁻¹: p - 1 ring products
-    and one scalar inverse.  ζ = d^((N-1)/p) is computed once, at the first
-    unit draw.  For prime N the result is z^(N-1): with N ≡ 1 (mod p) and
-    d not a p-th power residue, Z[θ]/(N) is the field F_(N^p) and
-    θ^N = d^((N-1)/p)·θ, so σ is the Frobenius x -> x^N.  Hence
-    z^(N-1) = σ(z)·z⁻¹, and as σ generates the Galois group, the product
-    of the p conjugates σ^i(z) is norm(z).  For composite N, w may differ
-    from z^(N-1); verify decides either way.  unitary_project keeps
-    z^(N-1), since sprp_filter runs it on composite N.
+    of _twist_orbit and z⁻¹ = ∏_{i≥1} σ^i(z)·norm(z)⁻¹: p - 1 ring products,
+    one scalar inverse and ζ = d^((N-1)/p).  For prime N the result is
+    z^(N-1): with N ≡ 1 (mod p) and d not a p-th power residue, Z[θ]/(N)
+    is the field F_(N^p) and θ^N = d^((N-1)/p)·θ, so σ is the Frobenius
+    x -> x^N.  Hence z^(N-1) = σ(z)·z⁻¹, and as σ generates the Galois
+    group, the product of the p conjugates σ^i(z) is norm(z).  For
+    composite N, w may differ from z^(N-1); verify decides either way.
+    unitary_project keeps z^(N-1), since sprp_filter runs it on composite N.
 
-    A zero divisor among the draws is promoted to COMPOSITE with the factor
-    it exposes; zero draws and projections landing on 1 are redrawn.  The
-    caller is responsible for the structural bound and for d being an
-    admissible base (_base_zeta); the first unit draw raises ValueError
-    unless N ≡ 1 (mod p) and gcd(N, d) = 1.
+    A zero-divisor draw is promoted to COMPOSITE with the factor it
+    exposes; a zero draw or a projection landing on 1 is EXHAUSTED, and
+    generate_certificate then resamples the candidate.  The caller is
+    responsible for the structural bound and for d being an admissible
+    base (_base_zeta); a unit draw raises ValueError unless N ≡ 1 (mod p)
+    and gcd(N, d) = 1.
     """
     n = ctx.N
-    zeta = None
-    for _ in range(PHASE1_TRIES):
-        z = RingElement(tuple(rng.randrange(n) for _ in range(ctx.p)))
-        cls = classify_unit(ctx, z)
-        if cls.kind is UnitKind.ZERO_DIVISOR:
-            return Phase1Result(Phase1Status.COMPOSITE, witness=cls.factor)
-        if cls.kind is UnitKind.ZERO:
-            continue
-        if zeta is None:
-            zeta = pth_power_symbol(ctx.d, n, ctx.p)
-        # σ(z)·∏_{i≥1} σ^i(z) = σ(z)·z⁻¹·norm(z)
-        first, orbit = _twist_orbit(ctx, z, zeta)
-        w = ring_mul(ctx, first, orbit)
-        # classify_unit found norm(z) coprime to N
-        inverse = pow(ring_norm(ctx, z), -1, n)
-        w = RingElement(tuple(c * inverse % n for c in w.coeffs))
-        if w != one(ctx):
-            return Phase1Result(Phase1Status.ELEMENT, w=w)
-    return Phase1Result(Phase1Status.EXHAUSTED)
+    z = RingElement(tuple(rng.randrange(n) for _ in range(ctx.p)))
+    cls = classify_unit(ctx, z)
+    if cls.kind is UnitKind.ZERO_DIVISOR:
+        return Phase1Result(Phase1Status.COMPOSITE, witness=cls.factor)
+    if cls.kind is UnitKind.ZERO:
+        return Phase1Result(Phase1Status.EXHAUSTED)
+    # σ(z)·∏_{i≥1} σ^i(z) = σ(z)·z⁻¹·norm(z)
+    first, orbit = _twist_orbit(ctx, z, pth_power_symbol(ctx.d, n, ctx.p))
+    w = ring_mul(ctx, first, orbit)
+    # classify_unit found norm(z) coprime to N
+    inverse = pow(ring_norm(ctx, z), -1, n)
+    w = RingElement(tuple(c * inverse % n for c in w.coeffs))
+    if w == one(ctx):
+        return Phase1Result(Phase1Status.EXHAUSTED)
+    return Phase1Result(Phase1Status.ELEMENT, w=w)
 
 
 def phase2_cyclotomic(ctx: RingContext, w: RingElement, k: int, q: int) -> Verdict:
@@ -339,10 +333,13 @@ def generate_certificate(
     With d = None the smallest admissible base is chosen per candidate; a
     fixed d instead causes incompatible candidates to be resampled.  Every
     verdict observed along the way is appended to verdict_log as an
-    (N, verdict) pair when given.  Each round draws one candidate and one
-    phase-1 element, and every outcome short of PRIME resamples the
-    candidate.  All randomness flows from the single rng, so a fixed seed
-    reproduces the certificate bit for bit.
+    (N, verdict) pair when given.  Each round scans one sieved window
+    (reversed_construct), makes one phase-1 draw and at most one verify,
+    and every outcome short of PRIME resamples the candidate: an empty
+    window, an incompatible base, a phase-1 COMPOSITE or EXHAUSTED, and
+    RETRY, REJECT or COMPOSITE from verify.  MAX_ROUNDS rounds without
+    PRIME raise GenerationError.  All randomness flows from the single rng,
+    so a fixed seed reproduces the certificate bit for bit.
     """
     if p not in PRIME_DEGREES:
         raise ValueError(f"degree must be one of {PRIME_DEGREES}")
@@ -353,7 +350,7 @@ def generate_certificate(
     for _ in range(MAX_ROUNDS):
         chain = reversed_construct(target_bits, p, k_max=k_max, rng=rng)
         if not chain.accepted:
-            raise GenerationError(f"no candidate found within budget ({chain.status.value})")
+            continue
         n, q, k = chain.N, chain.q, chain.k
         if d is None:
             try:

@@ -1,10 +1,10 @@
 """Candidate construction: pairs (N, q, k) with Phi_p(N) = k·q.
 
-Generation searches sieved windows of N for one where Phi_p(N) is a large
-prime q times a small cofactor k; this is what reproduces the reference
-tables, where q is close to N^(p-1).  The paper's forward construction,
-which derives N from a given seed prime q as a cube root of unity mod q,
-is kept for degree 3.
+Generation searches one sieved window of N per call for one where Phi_p(N)
+is a large prime q times a small cofactor k; this is what reproduces the
+reference tables, where q is close to N^(p-1).  The paper's forward
+construction, which derives N from a given seed prime q as a cube root of
+unity mod q, is kept for degree 3.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from .numtheory import _sieve, cyclotomic_roots, is_probable_prime, smooth_part
 from .ring import PRIME_DEGREES, cyclotomic_value
 
 DEFAULT_K_MAX = 10_000
-# window positions reversed_construct covers before it gives up
-ATTEMPT_BUDGET = 100_000
 # primes up to SIEVE_BOUND strike window positions; array("H") holds them
 SIEVE_BOUND = 1 << 15
 SIEVE_WINDOW = 4096
@@ -185,13 +183,13 @@ def reversed_construct(
     k_max: int = DEFAULT_K_MAX,
     rng: random.Random | None = None,
 ) -> ChainResult:
-    """Incremental search for N ≡ 1 (mod 2p) of the target size with Phi_p(N) = k·q.
+    """Incremental search over one window of N ≡ 1 (mod 2p) of the target size.
 
-    Each window starts at a random N and covers up to SIEVE_WINDOW values
-    N, N + 2p, ... of the same bit length.  The window is sieved (see
-    sieve_window), and the survivors are tried in order by candidate_split;
-    the first that certifies is returned.  ATTEMPT_BUDGET counts window
-    positions.
+    The window starts at one random N and covers up to SIEVE_WINDOW values
+    N, N + 2p, ... of the same bit length.  It is sieved (see sieve_window),
+    and the survivors are tried in order by candidate_split; the first that
+    certifies is returned.  REJECT_NO_SEED means the start draw fell outside
+    the range or no N in the window certified; the caller draws again.
     """
     if p not in PRIME_DEGREES:
         raise ValueError(f"degree must be one of {PRIME_DEGREES}")
@@ -201,20 +199,15 @@ def reversed_construct(
         raise ValueError("target bit length must be at least 3")
     if rng is None:
         rng = random.Random(0)
+    start = _sample_candidate(rng, target_bits, p)
+    if start is None:
+        return ChainResult(ChainStatus.REJECT_NO_SEED, p=p)
     step = 2 * p
-    top = 1 << target_bits
-    left = ATTEMPT_BUDGET
-    while left > 0:
-        start = _sample_candidate(rng, target_bits, p)
-        if start is None:
-            left -= 1
-            continue
-        count = min(SIEVE_WINDOW, left, (top - 1 - start) // step + 1)
-        left -= count
-        flags = sieve_window(start, count, p, k_max)
-        for i in compress(range(count), flags):
-            n = start + step * i
-            split = candidate_split(n, p, k_max)
-            if split is not None:
-                return ChainResult(ChainStatus.ACCEPTED, p=p, N=n, q=split[1], k=split[0])
+    count = min(SIEVE_WINDOW, ((1 << target_bits) - 1 - start) // step + 1)
+    flags = sieve_window(start, count, p, k_max)
+    for i in compress(range(count), flags):
+        n = start + step * i
+        split = candidate_split(n, p, k_max)
+        if split is not None:
+            return ChainResult(ChainStatus.ACCEPTED, p=p, N=n, q=split[1], k=split[0])
     return ChainResult(ChainStatus.REJECT_NO_SEED, p=p)

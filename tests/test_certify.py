@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cyclocert import (
     Certificate,
+    GenerationError,
     Outcome,
     Phase1Status,
     Reason,
@@ -41,7 +42,7 @@ from cyclocert import (
     unitary_project,
     verify,
 )
-from cyclocert import certify
+from cyclocert import certify, chain
 from cyclocert.cli import exit_code_for
 from cyclocert.ring import PRIME_DEGREES
 from cyclocert.reference import REFERENCE_CHAINS_DEGREE3, REFERENCE_CHAINS_DEGREE5
@@ -99,17 +100,18 @@ class TestPhase1:
         assert result.witness == 5
         assert 15 % result.witness == 0
 
-    def test_projection_to_one_is_redrawn_until_exhaustion(self):
+    def test_projection_to_one_is_exhausted(self):
+        # one draw per call: the unit draw after it is left for the next round
         ctx = make_context(7, 3, 2)
-        result = phase1_generate(ctx, ScriptedDraws([1, 0, 0]))
+        result = phase1_generate(ctx, ScriptedDraws([1, 0, 0, 1, 1, 0]))
         assert result.status is Phase1Status.EXHAUSTED
         assert result.w is None
 
-    def test_zero_draws_are_skipped(self):
+    def test_zero_draw_is_exhausted(self):
         ctx = make_context(7, 3, 2)
         result = phase1_generate(ctx, ScriptedDraws([0, 0, 0, 1, 1, 0]))
-        assert result.status is Phase1Status.ELEMENT
-        assert result.w.coeffs == (3, 1, 6)
+        assert result.status is Phase1Status.EXHAUSTED
+        assert result.w is None
 
     def test_unit_draw_needs_n_congruent_one(self):
         # ζ = d^((N-1)/p) is undefined for N = 11 at p = 3
@@ -683,6 +685,23 @@ class TestGenerateCertificate:
         assert log[-1] == (cert.N, Verdict(Outcome.PRIME))
         assert verify(cert).outcome is Outcome.PRIME
 
+    @pytest.mark.parametrize("bits,p", [(7, 5), (6, 7), (8, 7)])
+    def test_range_without_certificate_gives_up_after_max_rounds(self, monkeypatch, bits, p):
+        # no N ≡ 1 (mod 2p) of this size certifies, and each round scans one window
+        windows = []
+        sieve_window = chain.sieve_window
+
+        def counting_sieve(*args):
+            windows.append(args[0])
+            return sieve_window(*args)
+
+        monkeypatch.setattr(chain, "sieve_window", counting_sieve)
+        for seed in range(3):
+            windows.clear()
+            with pytest.raises(GenerationError, match="exhausted its rounds"):
+                generate_certificate(bits, p=p, rng=random.Random(seed))
+            assert 0 < len(windows) <= certify.MAX_ROUNDS
+
     @pytest.mark.parametrize("p", [-3, 0, 1, 2, 4, 9, 15, 17])
     def test_unsupported_degree_refused_before_search(self, p):
         for d in (None, 2):
@@ -694,8 +713,9 @@ class TestGoldenDigest:
     """Fixed-seed certificates and verdict logs, pinned by sha256.
 
     The digest covers cert_encode text and repr(verdict_log) of
-    generate_certificate at seeds 0 .. seeds - 1.  A change meant to keep
-    output byte-identical must leave every digest as it is.
+    generate_certificate at seeds 0 .. seeds - 1, with d = None or d = 2.
+    A change meant to keep output byte-identical must leave every digest
+    as it is.
     """
 
     @pytest.mark.parametrize(
@@ -710,10 +730,25 @@ class TestGoldenDigest:
         ],
     )
     def test_fixed_seed_output(self, p, bits, seeds, digest):
+        assert self.digest(p, None, bits, seeds) == digest
+
+    @pytest.mark.parametrize(
+        "p,bits,seeds,digest",
+        [
+            (3, 64, 10, "66f77df5568b1de91fca0dbb6fedfaf066ca759975187410eac29f6a338486d9"),
+            (5, 64, 12, "29950ced5742076016c8adf982dc47ed39f58a19b0877b61e7ff3398677c836b"),
+        ],
+    )
+    def test_fixed_base_output(self, p, bits, seeds, digest):
+        # d = 2 is a p-th power residue for some candidates, which resample
+        assert self.digest(p, 2, bits, seeds) == digest
+
+    @staticmethod
+    def digest(p, d, bits, seeds):
         h = hashlib.sha256()
         for seed in range(seeds):
             log = []
-            cert = generate_certificate(bits, p=p, rng=random.Random(seed), verdict_log=log)
+            cert = generate_certificate(bits, p=p, d=d, rng=random.Random(seed), verdict_log=log)
             h.update(cert_encode(cert).encode())
             h.update(repr(log).encode())
-        assert h.hexdigest() == digest
+        return h.hexdigest()

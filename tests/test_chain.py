@@ -15,7 +15,7 @@ from cyclocert import (
     select_base_d,
     structural_bound_ok,
 )
-from cyclocert import certify, chain
+from cyclocert import certify
 from cyclocert.chain import (
     SIEVE_BOUND,
     candidate_split,
@@ -103,12 +103,32 @@ class TestReversedConstruct:
         assert result.status is ChainStatus.ACCEPTED
         assert (result.N, result.q, result.k) == (row.N, row.q, 21)
 
-    def test_budget_exhaustion(self, monkeypatch):
-        # 337 is prime but Phi_3(337) = 3*43*883 has no prime quotient at k = 1
-        monkeypatch.setattr(chain, "ATTEMPT_BUDGET", 3)
-        rng = ScriptedBits([337, 337, 337])
-        result = reversed_construct(9, 3, k_max=1, rng=rng)
-        assert result.status is ChainStatus.REJECT_NO_SEED
+    @pytest.mark.parametrize("k_max", [1, 10, 10000])
+    @pytest.mark.parametrize("p,limit", [(3, 3000), (5, 400)])
+    def test_one_window_per_call(self, p, limit, k_max):
+        # each start scans only its own window: the first N up to 2^bits that
+        # the oracle accepts, else REJECT_NO_SEED; ScriptedBits holds a single
+        # start, so drawing a second one raises StopIteration
+        step = 2 * p
+        accepted = {}
+        for n in range(step + 1, 1 << limit.bit_length(), step):
+            split = scan_cofactors(n, p, k_max)
+            if split is not None:
+                accepted[n] = split
+        empty = 0
+        for start in range(step + 1, limit, step):
+            bits = start.bit_length()
+            window = range(start, 1 << bits, step)
+            expected = next((n for n in window if n in accepted), None)
+            result = reversed_construct(bits, p, k_max=k_max, rng=ScriptedBits([start]))
+            if expected is None:
+                empty += 1
+                assert result.status is ChainStatus.REJECT_NO_SEED, start
+            else:
+                k, q = accepted[expected]
+                assert result.status is ChainStatus.ACCEPTED, start
+                assert (result.N, result.q, result.k) == (expected, q, k), start
+        assert empty > 0
 
     def test_accepted_results_satisfy_invariants(self):
         rng = random.Random(11)
