@@ -48,22 +48,19 @@ def _check_invariants(cert: Certificate) -> None:
         raise CertInvariantError("unitary element coefficients out of [0, N)")
 
 
+def _keys(p: int) -> list[str]:
+    """The canonical key order for a degree-p certificate."""
+    return ["version", "p", "d", "N", "q", "k"] + [f"w{i}" for i in range(p)] + ["seed_trust"]
+
+
 def cert_encode(cert: Certificate) -> str:
     """Canonical text for a certificate; refuses invariant breaches."""
     if cert.version != CERT_FORMAT_VERSION:
         raise CertVersionError(f"unsupported version {cert.version!r}")
     _check_invariants(cert)
-    lines = [
-        f"version={cert.version}",
-        f"p={cert.p}",
-        f"d={cert.d}",
-        f"N={cert.N}",
-        f"q={cert.q}",
-        f"k={cert.k}",
-    ]
-    lines.extend(f"w{i}={c}" for i, c in enumerate(cert.w.coeffs))
-    lines.append(f"seed_trust={cert.seed_trust.name}")
-    return "\n".join(lines) + "\n"
+    head = [cert.version, cert.p, cert.d, cert.N, cert.q, cert.k]
+    values = head + list(cert.w.coeffs) + [cert.seed_trust.name]
+    return "".join(f"{key}={value}\n" for key, value in zip(_keys(cert.p), values))
 
 
 def _parse_int(key: str, value: str) -> int:
@@ -102,7 +99,7 @@ def cert_decode(text: str) -> Certificate:
     if p not in PRIME_DEGREES:
         raise CertInvariantError(f"unsupported degree p = {p}")
 
-    expected = ["version", "p", "d", "N", "q", "k"] + [f"w{i}" for i in range(p)] + ["seed_trust"]
+    expected = _keys(p)
     unknown = set(pairs) - set(expected)
     if unknown:
         raise CertFormatError(f"unknown keys: {sorted(unknown)}")

@@ -4,7 +4,8 @@ One subcommand per procedure: `generate`, `verify`, `filter`, `carmichael`,
 `bench`, and `roots`.  Machine-readable results go to stdout, diagnostics to
 stderr.  `verify` exits 0 for PRIME and distinguishes REJECT (2),
 COMPOSITE (3), RETRY (4), and file-level format problems (5); other
-subcommands exit 0 on success and 1 on domain errors.
+subcommands exit 0 on success and 1 on domain errors, which `main` reports
+as one stderr line `<what> failed: <reason>`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .bench import run_bench
 from .carmichael import search_carmichael
 from .certfile import CertFileError, cert_decode, cert_encode
 from .certify import GenerationError, Outcome, Verdict, generate_certificate, sprp_filter, verify
+from .certify import _base_zeta
 from .chain import DEFAULT_K_MAX, cofactor_split
 from .numtheory import cyclotomic_roots, is_probable_prime
 from .ring import RingElement, make_context
@@ -49,13 +51,9 @@ def _verdict_line(verdict: Verdict) -> str:
 
 
 def _cmd_generate(args) -> int:
+    d = None if args.d == "auto" else int(args.d)
     rng = random.Random(args.rng_seed)
-    try:
-        d = None if args.d == "auto" else int(args.d)
-        cert = generate_certificate(args.bits, p=args.degree, d=d, k_max=args.k_max, rng=rng)
-    except (GenerationError, ValueError) as exc:
-        print(f"generation failed: {exc}", file=sys.stderr)
-        return 1
+    cert = generate_certificate(args.bits, p=args.degree, d=d, k_max=args.k_max, rng=rng)
     text = cert_encode(cert)
     if args.out:
         try:
@@ -90,20 +88,16 @@ def _cmd_verify(args) -> int:
 def _cmd_filter(args) -> int:
     n, d = args.n, args.d
     if n % 3 != 1 or n % 2 == 0 or n <= 3:
-        print("filter needs an odd n > 3 with n ≡ 1 (mod 3)", file=sys.stderr)
-        return 1
-    try:
-        ctx = make_context(n, 3, d)
-    except ValueError as exc:
-        print(f"filter failed: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError("n must be odd, greater than 3 and ≡ 1 (mod 3)")
+    ctx = make_context(n, 3, d)
     if args.bases < 1:
-        print(f"filter failed: --bases must be at least 1, got {args.bases}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--bases must be at least 1, got {args.bases}")
     found = cofactor_split(ctx.phi_p_n, DEFAULT_K_MAX)
     if found is None or not is_probable_prime(found[1]):
-        print("no factorization n²+n+1 = k·q with a small cofactor found", file=sys.stderr)
-        return 1
+        raise ValueError("no factorization n²+n+1 = k·q with a small cofactor found")
+    if _base_zeta(n, 3, d) is None:
+        # verify's RESIDUE rule; for such d, Z[θ]/(n) is not the field F_(n³) and a prime n can fail
+        raise ValueError(f"d = {d} shares a factor with 3n or has d^((n-1)/3) ≡ 1 (mod n)")
     k, q = found
     print(f"factorization k={k} q={q}", file=sys.stderr)
     rng = random.Random(args.rng_seed)
@@ -120,11 +114,7 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_carmichael(args) -> int:
-    try:
-        reports = search_carmichael(args.max, args.d)
-    except ValueError as exc:
-        print(f"search failed: {exc}", file=sys.stderr)
-        return 1
+    reports = search_carmichael(args.max, args.d)
     for r in reports:
         factors = ",".join(str(f) for f in r.factor_list)
         print(
@@ -137,12 +127,8 @@ def _cmd_carmichael(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        sizes = [int(b) for b in args.bits.split(",")]
-        report = run_bench(sizes, p=args.degree, rng_seed=args.rng_seed)
-    except (ValueError, GenerationError) as exc:
-        print(f"bench failed: {exc}", file=sys.stderr)
-        return 1
+    sizes = [int(b) for b in args.bits.split(",")]
+    report = run_bench(sizes, p=args.degree, rng_seed=args.rng_seed)
     for row in report.rows:
         print(
             f"bits={row.bits} verify_ms={row.verify_ms:.3f} "
@@ -158,14 +144,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_roots(args) -> int:
     if not (is_probable_prime(args.p) and is_probable_prime(args.q)):
-        print("roots failed: p and q must be primes", file=sys.stderr)
-        return 1
-    try:
-        roots = cyclotomic_roots(args.p, args.q)
-    except ValueError as exc:
-        print(f"roots failed: {exc}", file=sys.stderr)
-        return 1
-    print(" ".join(str(r) for r in sorted(roots)))
+        raise ValueError("p and q must be primes")
+    print(" ".join(str(r) for r in sorted(cyclotomic_roots(args.p, args.q))))
     return 0
 
 
@@ -183,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, help="largest cofactor k allowed")
     g.add_argument("--rng-seed", type=int, default=0)
     g.add_argument("--out", help="write the certificate file here instead of stdout")
-    g.set_defaults(func=_cmd_generate)
+    g.set_defaults(func=_cmd_generate, failure="generation failed")
 
     v = sub.add_parser("verify", help="verify a certificate file")
     v.add_argument("--cert", required=True, help="path to the certificate file")
@@ -194,30 +174,34 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--d", type=int, required=True)
     f.add_argument("--bases", type=int, required=True, help="number of random bases")
     f.add_argument("--rng-seed", type=int, default=0)
-    f.set_defaults(func=_cmd_filter)
+    f.set_defaults(func=_cmd_filter, failure="filter failed")
 
     c = sub.add_parser("carmichael", help="search for cubic Carmichael candidates")
     c.add_argument("--max", type=int, required=True)
     c.add_argument("--d", type=int, required=True)
-    c.set_defaults(func=_cmd_carmichael)
+    c.set_defaults(func=_cmd_carmichael, failure="search failed")
 
     b = sub.add_parser("bench", help="time certificate verification across sizes")
     b.add_argument("--bits", required=True, help="comma-separated ascending bit sizes")
     b.add_argument("--degree", type=int, default=3)
     b.add_argument("--rng-seed", type=int, default=0)
-    b.set_defaults(func=_cmd_bench)
+    b.set_defaults(func=_cmd_bench, failure="bench failed")
 
     r = sub.add_parser("roots", help="residues where the degree-p cyclotomic vanishes mod q")
     r.add_argument("--p", type=int, required=True)
     r.add_argument("--q", type=int, required=True)
-    r.set_defaults(func=_cmd_roots)
+    r.set_defaults(func=_cmd_roots, failure="roots failed")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, GenerationError) as exc:
+        print(f"{args.failure}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from cyclocert import (
     cert_encode,
     cyclotomic_value,
 )
+from cyclocert.ring import PRIME_DEGREES
 
 GOLDEN = Path(__file__).parent / "data" / "golden_n7.cert"
 # CPython's cap on int() of a decimal string; 0 where there is none
@@ -29,8 +30,8 @@ def fixture_cert():
     return Certificate("1", 3, 2, 7, 19, 3, RingElement((3, 1, 6)), SeedTrust.PROBABLE)
 
 
-def random_valid_cert(rng):
-    p = rng.choice((3, 5))
+def random_valid_cert(rng, p=None):
+    p = p or rng.choice(PRIME_DEGREES)
     n = rng.randrange(3, 2**48) * 2 + 1
     phi = cyclotomic_value(n, p)
     k = 1
@@ -65,6 +66,13 @@ class TestRoundTrip:
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         cert = random_valid_cert(rng)
         assert cert_decode(cert_encode(cert)) == cert
+
+    @pytest.mark.parametrize("p", PRIME_DEGREES)
+    def test_canonical_key_order(self, p):
+        text = cert_encode(random_valid_cert(random.Random(p), p))
+        keys = [line.partition("=")[0] for line in text.splitlines()]
+        w_keys = [f"w{i}" for i in range(p)]
+        assert keys == ["version", "p", "d", "N", "q", "k", *w_keys, "seed_trust"]
 
 
 class TestEncodeValidation:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from cyclocert import cli
 from cyclocert import (
     Certificate,
     Outcome,
@@ -15,6 +16,7 @@ from cyclocert import (
     Verdict,
     cert_decode,
     cert_encode,
+    is_probable_prime,
     make_context,
     phase1_generate,
 )
@@ -254,3 +256,45 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "failed" in captured.err
+
+
+def _one_failure_line(captured, prefix):
+    return captured.out == "" and captured.err.count("\n") == 1 and captured.err.startswith(prefix)
+
+
+class TestFailurePath:
+    @pytest.mark.parametrize(
+        "argv,prefix",
+        [
+            (["generate", "--bits", "2"], "generation failed: "),
+            (["filter", "--n", "67", "--d", "2", "--bases", "1"], "filter failed: no "),
+            (["filter", "--n", "13", "--d", "5", "--bases", "1"], "filter failed: d = 5 "),
+            (["carmichael", "--max", "100", "--d", "1"], "search failed: "),
+            (["bench", "--bits", "40,32"], "bench failed: "),
+            (["roots", "--p", "3", "--q", "5"], "roots failed: "),
+        ],
+    )
+    def test_one_prefixed_line_exit_one(self, argv, prefix, capsys):
+        assert main(argv) == 1
+        assert _one_failure_line(capsys.readouterr(), prefix)
+
+    @pytest.mark.parametrize("exc", [ValueError("boom"), cli.GenerationError("boom")])
+    def test_main_prints_what_the_command_raises(self, exc, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_bench", fail)
+        assert main(["bench", "--bits", "32"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "bench failed: boom\n"
+
+    def test_filter_never_fails_a_prime(self, capsys):
+        # a cube d makes Z[θ]/(n) split, so the filter can fail a prime n; such d are refused
+        for n in range(7, 2000, 6):
+            if not is_probable_prime(n):
+                continue
+            for d in range(2, 12):
+                code = main(["filter", "--n", str(n), "--d", str(d), "--bases", "4"])
+                captured = capsys.readouterr()
+                assert "pass=false" not in captured.out, (n, d)
+                assert code == 0 or _one_failure_line(captured, "filter failed: "), (n, d)
