@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd, isqrt
 
-from .numtheory import SMALL_PRIMES, _sieve, is_probable_prime, pth_residue
+from .numtheory import SMALL_PRIMES, _sieve, is_probable_prime, twist
 from .ring import RingElement, UnitKind, classify_unit, one, ring_pow, unchecked_context
 
 FACTOR_LIMIT = 10**12
@@ -88,19 +88,13 @@ class CarmichaelReport:
     irreducibility_ok: bool
 
 
-def _factor_irreducible(q: int, d: int) -> bool:
-    # x^3 - d mod q: for q ≡ 2 (mod 3) cubing is a bijection, so a root
-    # always exists; for q ≡ 1 (mod 3) irreducible iff d is a non-residue
-    if q == 3 or q % 3 == 2:
-        return False
-    return not pth_residue(d, q, 3)
-
-
 def _report_from_factors(n: int, d: int, factors: list[tuple[int, int]]) -> CarmichaelReport:
     squarefree = all(e == 1 for _, e in factors)
     n3 = n**3 - 1
     divisibility = all(n3 % (q**3 - 1) == 0 for q, _ in factors)
-    irreducible = all(_factor_irreducible(q, d) for q, _ in factors)
+    # x³ - d is irreducible mod a prime q iff d is an admissible base for q:
+    # for q ≡ 2 (mod 3) cubing is a bijection, so a root always exists
+    irreducible = all(twist(d, q, 3) is not None for q, _ in factors)
     return CarmichaelReport(
         N=n,
         squarefree=squarefree,

@@ -20,7 +20,7 @@ from enum import Enum
 from math import gcd
 
 from .chain import DEFAULT_K_MAX, reversed_construct, structural_bound_ok
-from .numtheory import SeedTrust, monogenic_ok, pth_power_symbol
+from .numtheory import SeedTrust, monogenic_ok, twist
 from .numtheory import pth_residue  # noqa: F401  perfbench/tracing.py wraps certify.pth_residue
 from .ring import (
     PRIME_DEGREES,
@@ -114,20 +114,19 @@ def phase1_generate(ctx: RingContext, rng: random.Random) -> Phase1Result:
 
     The projection z^(N-1) is computed as σ(z)·z⁻¹, where σ is the twist
     of _twist_orbit and z⁻¹ = ∏_{i≥1} σ^i(z)·norm(z)⁻¹: p - 1 ring products,
-    one scalar inverse and ζ = d^((N-1)/p).  For prime N the result is
-    z^(N-1): with N ≡ 1 (mod p) and d not a p-th power residue, Z[θ]/(N)
-    is the field F_(N^p) and θ^N = d^((N-1)/p)·θ, so σ is the Frobenius
-    x -> x^N.  Hence z^(N-1) = σ(z)·z⁻¹, and as σ generates the Galois
-    group, the product of the p conjugates σ^i(z) is norm(z).  For
-    composite N, w may differ from z^(N-1); verify decides either way.
+    one scalar inverse and ζ = twist(d, N, p).  For prime N the result is
+    z^(N-1): as d is an admissible base, Z[θ]/(N) is the field F_(N^p) and
+    θ^N = ζθ, so σ is the Frobenius x -> x^N.  Hence z^(N-1) = σ(z)·z⁻¹,
+    and as σ generates the Galois group, the product of the p conjugates
+    σ^i(z) is norm(z).  For composite N, w may differ from z^(N-1); verify
+    decides either way.
     unitary_project keeps z^(N-1), since sprp_filter runs it on composite N.
 
     A zero-divisor draw is promoted to COMPOSITE with the factor it
     exposes; a zero draw or a projection landing on 1 is EXHAUSTED, and
     generate_certificate then resamples the candidate.  The caller is
     responsible for the structural bound and for d being an admissible
-    base (_base_zeta); a unit draw raises ValueError unless N ≡ 1 (mod p)
-    and gcd(N, d) = 1.
+    base; a unit draw raises ValueError when numtheory.twist finds none.
     """
     n = ctx.N
     z = RingElement(tuple(rng.randrange(n) for _ in range(ctx.p)))
@@ -136,8 +135,11 @@ def phase1_generate(ctx: RingContext, rng: random.Random) -> Phase1Result:
         return Phase1Result(Phase1Status.COMPOSITE, witness=cls.factor)
     if cls.kind is UnitKind.ZERO:
         return Phase1Result(Phase1Status.EXHAUSTED)
+    zeta = twist(ctx.d, n, ctx.p)
+    if zeta is None:
+        raise ValueError("inadmissible base d: need n ≡ 1 (mod p), gcd(n, p·d) = 1 and ζ ≠ 1")
     # σ(z)·∏_{i≥1} σ^i(z) = σ(z)·z⁻¹·norm(z)
-    first, orbit = _twist_orbit(ctx, z, pth_power_symbol(ctx.d, n, ctx.p))
+    first, orbit = _twist_orbit(ctx, z, zeta)
     w = ring_mul(ctx, first, orbit)
     # classify_unit found norm(z) coprime to N
     inverse = pow(ring_norm(ctx, z), -1, n)
@@ -221,28 +223,12 @@ def _twist_orbit(ctx: RingContext, a: RingElement, zeta: int) -> tuple[RingEleme
     return twists[0], orbit
 
 
-def _base_zeta(n: int, p: int, d: int) -> int | None:
-    """ζ = d^((N-1)/p) mod N when d is an admissible base for N, else None.
-
-    Admissible means gcd(N, p·d) = 1 and ζ ≠ 1 (d is not a p-th power
-    residue); verify reuses ζ as the Frobenius twist.
-    """
-    if gcd(n, p * d) != 1:
-        return None
-    zeta = pth_power_symbol(d, n, p)
-    return None if zeta == 1 else zeta
-
-
 def select_base_d(N: int, p: int) -> int:
-    """Smallest admissible base d in [2, BASE_D_MAX] for the candidate N.
-
-    Admissible means: power-basis predicate holds, gcd(N, p·d) = 1, and d is
-    not a p-th power residue mod N.
+    """Smallest base d in [2, BASE_D_MAX] for the candidate N that has the
+    power-basis predicate and is admissible (numtheory.twist).
     """
-    if N % p != 1:
-        raise ValueError("require N ≡ 1 (mod p)")
     for d in range(2, BASE_D_MAX + 1):
-        if monogenic_ok(d, p) and _base_zeta(N, p, d) is not None:
+        if monogenic_ok(d, p) and twist(d, N, p) is not None:
             return d
     raise ValueError(f"no admissible base d <= {BASE_D_MAX} for N = {N}")
 
@@ -251,8 +237,8 @@ def verify(cert: Certificate) -> Verdict:
     """Non-recursive certificate check with one exponentiation of N's length.
 
     Order of checks: a degree in PRIME_DEGREES and N, q >= 2 (before any
-    arithmetic), structural bound, congruences, field parameters
-    (gcd and p-th power non-residue, which yields ζ), exact cofactor, then:
+    arithmetic), structural bound, congruences, an admissible base d
+    (numtheory.twist, which yields ζ), exact cofactor, then:
     1. X = w^k and g = gcd(norm(X - 1), N); 1 < g < N is COMPOSITE with
        the factor g as witness.
     2. The Frobenius check (_frobenius_holds): ζ^p ≡ 1, ∏ σ^i(w) = 1 and
@@ -273,7 +259,7 @@ def verify(cert: Certificate) -> Verdict:
     if n % p != 1:
         # the residue exponent (N-1)/p would not even be defined
         return Verdict(Outcome.REJECT, Reason.CONGRUENCE)
-    zeta = _base_zeta(n, p, d)
+    zeta = twist(d, n, p)
     if zeta is None:
         return Verdict(Outcome.REJECT, Reason.RESIDUE)
     try:
@@ -358,7 +344,7 @@ def generate_certificate(
             except ValueError:
                 continue
         else:
-            if _base_zeta(n, p, d) is None:
+            if twist(d, n, p) is None:
                 continue  # candidate incompatible with the fixed base; resample
             d_used = d
         result = phase1_generate(make_context(n, p, d_used), rng)

@@ -18,9 +18,8 @@ from .bench import run_bench
 from .carmichael import search_carmichael
 from .certfile import CertFileError, cert_decode, cert_encode
 from .certify import GenerationError, Outcome, Verdict, generate_certificate, sprp_filter, verify
-from .certify import _base_zeta
 from .chain import DEFAULT_K_MAX, cofactor_split
-from .numtheory import cyclotomic_roots, is_probable_prime
+from .numtheory import cyclotomic_roots, is_probable_prime, twist
 from .ring import RingElement, make_context
 
 EXIT_PRIME = 0
@@ -95,7 +94,7 @@ def _cmd_filter(args) -> int:
     found = cofactor_split(ctx.phi_p_n, DEFAULT_K_MAX)
     if found is None or not is_probable_prime(found[1]):
         raise ValueError("no factorization n²+n+1 = k·q with a small cofactor found")
-    if _base_zeta(n, 3, d) is None:
+    if twist(d, n, 3) is None:
         # verify's RESIDUE rule; for such d, Z[θ]/(n) is not the field F_(n³) and a prime n can fail
         raise ValueError(f"d = {d} shares a factor with 3n or has d^((n-1)/3) ≡ 1 (mod n)")
     k, q = found

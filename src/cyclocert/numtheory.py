@@ -1,10 +1,11 @@
 """Scalar modular number theory used throughout the chain.
 
-Roots of cyclotomic polynomials and of -3, p-th power residue testing,
+The admissible-base rule and its twist ζ (twist), on which p-th power
+residue testing and the roots of cyclotomic polynomials and of -3 build;
 the Baillie-PSW probable-prime test, smooth parts, and the power-basis
-admissibility predicate for the ring base d. All functions are pure; any
-strong tests requested beyond BPSW draw their bases from a
-``random.Random`` seeded by the input, so runs are reproducible.
+predicate for the ring base d. All functions are pure; any strong tests
+requested beyond BPSW draw their bases from a ``random.Random`` seeded by
+the input, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -164,21 +165,47 @@ def smooth_part(m: int, y: int) -> int:
     return part
 
 
+def twist(d: int, n: int, p: int) -> int | None:
+    """ζ = d^((n-1)/p) mod n when d is an admissible base for n, else None.
+
+    Admissible means n ≡ 1 (mod p), gcd(n, p·d) = 1 and ζ ≠ 1.  For prime
+    n, ζ ≠ 1 says d is not a p-th power, so x^p - d is irreducible mod n,
+    Z[θ]/(n) is the field F_(n^p), θ^n = ζθ, and ζ has order exactly p.
+    Composite n is allowed; the value is then purely the congruence power.
+    """
+    if n % p != 1 or gcd(n, p * d) != 1:
+        return None
+    zeta = pow(d, (n - 1) // p, n)
+    return None if zeta == 1 else zeta
+
+
+def pth_residue(a: int, n: int, p: int) -> bool:
+    """Euler criterion: a is a p-th power residue mod n iff a^((n-1)/p) ≡ 1.
+
+    Requires n ≡ 1 (mod p) and gcd(a, n) = 1.  Exact for prime n; for
+    composite n the result is purely the congruence test.
+    """
+    if n % p != 1:
+        raise ValueError("require n ≡ 1 (mod p)")
+    if gcd(a, n) != 1:
+        raise ValueError("a must be coprime to n")
+    return twist(a, n, p) is None
+
+
 def cyclotomic_roots(p: int, q: int) -> set[int]:
     """All residues N mod q with Phi_p(N) ≡ 0, i.e. of multiplicative order p.
 
-    Exists exactly when q ≡ 1 (mod p): raise a generator candidate g to
-    (q-1)/p; any result h ≠ 1 has order exactly p, and the p-1 nontrivial
-    powers of h are precisely the roots.
+    Exists exactly when q ≡ 1 (mod p): the twist h = g^((q-1)/p) of the
+    first g that is not a p-th power has order exactly p, and the p-1
+    nontrivial powers of h are precisely the roots.
     """
     if q < 2 or p == q:
         raise ValueError("degrees p and q must be distinct primes")
     if q % p != 1:
         raise ValueError("Phi_p has roots mod q only when q ≡ 1 (mod p)")
-    e = (q - 1) // p
     for g in range(2, q):
-        h = pow(g, e, q)
-        if h != 1:
+        h = twist(g, q, p)
+        if h is not None:
             roots = set()
             x = h
             for _ in range(p - 1):
@@ -202,27 +229,6 @@ def sqrt_minus3(q: int) -> tuple[int, int]:
     if (r * r + 3) % q != 0:
         raise ArithmeticError(f"square root of -3 mod {q} failed verification")
     return (min(r, q - r), max(r, q - r))
-
-
-def pth_power_symbol(a: int, n: int, p: int) -> int:
-    """a^((n-1)/p) mod n; for prime n a p-th root of unity, 1 exactly on p-th powers.
-
-    Composite n is allowed; the value is then purely the congruence power.
-    """
-    if n % p != 1:
-        raise ValueError("require n ≡ 1 (mod p)")
-    if gcd(a, n) != 1:
-        raise ValueError("a must be coprime to n")
-    return pow(a, (n - 1) // p, n)
-
-
-def pth_residue(a: int, n: int, p: int) -> bool:
-    """Euler criterion: a is a p-th power residue mod n iff a^((n-1)/p) ≡ 1.
-
-    Exact for prime n.  Composite n is allowed; the result is then purely the
-    congruence test, which is how the candidate filter uses it.
-    """
-    return pth_power_symbol(a, n, p) == 1
 
 
 def is_squarefree_small(d: int) -> bool:

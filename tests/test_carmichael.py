@@ -129,6 +129,17 @@ class TestCarmichaelDirect:
         with pytest.raises(ValueError):
             carmichael_direct(13, 2)
 
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_ring_enumeration_decides_133(self, monkeypatch, d):
+        # λ(133) = 18 divides 133³ - 1, so every unit scalar passes and only
+        # the ring enumeration can answer; no composite up to 60 gets that far
+        n = 133
+        assert all(pow(c, n**3 - 1, n) == 1 for c in range(2, n) if gcd(c, n) == 1)
+        monkeypatch.setattr(carmichael, "DIRECT_LIMIT", n)
+        assert carmichael_direct(n, d) is False
+        report = korselt_check(n, d)
+        assert report.korselt_ok is False and report.irreducibility_ok is True
+
     def test_korselt_equivalence_under_irreducibility(self):
         # for every composite N ≡ 1 (mod 3) up to 60 where the hypothesis of
         # the equivalence holds, the two routes must agree exactly

@@ -91,6 +91,16 @@ class TestEncodeValidation:
         with pytest.raises(CertVersionError):
             cert_encode(bad)
 
+    def test_too_few_coefficients_refused(self):
+        bad = Certificate("1", 3, 2, 7, 19, 3, RingElement((3, 1)), SeedTrust.PROBABLE)
+        with pytest.raises(CertInvariantError, match="exactly p coefficients"):
+            cert_encode(bad)
+
+    def test_unsupported_degree_refused(self):
+        bad = Certificate("1", 2, 2, 7, 8, 1, RingElement((3, 1)), SeedTrust.PROBABLE)
+        with pytest.raises(CertInvariantError, match="unsupported degree p = 2"):
+            cert_encode(bad)
+
 
 class TestDecodeValidation:
     def test_empty_input(self):
@@ -149,3 +159,25 @@ class TestDecodeValidation:
     def test_garbage_line(self):
         with pytest.raises(CertFormatError):
             cert_decode("this is not a certificate\n")
+
+    @pytest.mark.parametrize("key", ["version", "p"])
+    def test_missing_leading_key_named(self, key):
+        lines = GOLDEN.read_text().splitlines(keepends=True)
+        text = "".join(line for line in lines if not line.startswith(key + "="))
+        with pytest.raises(CertFormatError, match=f"missing key '{key}'"):
+            cert_decode(text)
+
+    @pytest.mark.parametrize("p", [2, 17])
+    def test_unsupported_degree(self, p):
+        text = GOLDEN.read_text().replace("p=3", f"p={p}")
+        with pytest.raises(CertInvariantError, match=f"unsupported degree p = {p}"):
+            cert_decode(text)
+
+    def test_zero_base_refused(self):
+        text = GOLDEN.read_text().replace("d=2", "d=0")
+        with pytest.raises(CertInvariantError, match="certificate integers must be positive"):
+            cert_decode(text)
+
+    def test_blank_lines_between_pairs_ignored(self):
+        text = GOLDEN.read_text().replace("\n", "\n\n")
+        assert cert_decode(text) == fixture_cert()

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from cyclocert import (
     Certificate,
+    ChainResult,
+    ChainStatus,
     GenerationError,
     Outcome,
     Phase1Status,
@@ -386,7 +388,7 @@ class TestSingleChainVerdicts:
 
     def test_one_exponentiation_of_n_length(self, monkeypatch):
         exponents, symbols = [], []
-        ring_pow_plain, symbol_plain = certify.ring_pow, certify.pth_power_symbol
+        ring_pow_plain, twist_plain = certify.ring_pow, certify.twist
 
         def recording_pow(ctx, a, e):
             exponents.append((e, ctx.N))
@@ -394,10 +396,10 @@ class TestSingleChainVerdicts:
 
         def recording_symbol(*args):
             symbols.append(args)
-            return symbol_plain(*args)
+            return twist_plain(*args)
 
         monkeypatch.setattr(certify, "ring_pow", recording_pow)
-        monkeypatch.setattr(certify, "pth_power_symbol", recording_symbol)
+        monkeypatch.setattr(certify, "twist", recording_symbol)
         certs = [FORGED]
         for p, bits in GENERATED_SIZES:
             certs.extend(_generated_variants(p, bits, 0))
@@ -684,6 +686,38 @@ class TestGenerateCertificate:
         assert any(verdict.outcome is Outcome.RETRY for _, verdict in log)
         assert log[-1] == (cert.N, Verdict(Outcome.PRIME))
         assert verify(cert).outcome is Outcome.PRIME
+
+    @pytest.mark.parametrize("bits,seed", [(3, 153), (3, 235), (3, 267), (4, 143), (4, 240)])
+    def test_phase1_exhausted_resamples_the_candidate(self, monkeypatch, bits, seed):
+        events = []
+        sieve_window, phase1 = chain.sieve_window, certify.phase1_generate
+
+        def recording_sieve(*args):
+            events.append("window")
+            return sieve_window(*args)
+
+        def recording_phase1(*args):
+            result = phase1(*args)
+            events.append(result.status)
+            return result
+
+        monkeypatch.setattr(chain, "sieve_window", recording_sieve)
+        monkeypatch.setattr(certify, "phase1_generate", recording_phase1)
+        log = []
+        cert = generate_certificate(bits, p=3, rng=random.Random(seed), verdict_log=log)
+        assert events == ["window", Phase1Status.EXHAUSTED, "window", Phase1Status.ELEMENT]
+        assert log == [(cert.N, Verdict(Outcome.PRIME))]
+        assert cert.N in (7, 13) and verify(cert) == Verdict(Outcome.PRIME)
+
+    def test_phase1_composite_resamples_until_rounds_run_out(self, monkeypatch):
+        # every round gets N = 43·193, and the draw z = 43 exposes the factor 43
+        accepted = ChainResult(ChainStatus.ACCEPTED, p=3, N=8299, q=22960567, k=3)
+        monkeypatch.setattr(certify, "reversed_construct", lambda *args, **kwargs: accepted)
+        log = []
+        with pytest.raises(GenerationError, match="exhausted its rounds"):
+            generate_certificate(14, p=3, rng=ScriptedDraws([43, 0, 0]), verdict_log=log)
+        zero_divisor = Verdict(Outcome.COMPOSITE, Reason.ZERO_DIVISOR, 43)
+        assert log == [(8299, zero_divisor)] * certify.MAX_ROUNDS
 
     @pytest.mark.parametrize("bits,p", [(7, 5), (6, 7), (8, 7)])
     def test_range_without_certificate_gives_up_after_max_rounds(self, monkeypatch, bits, p):

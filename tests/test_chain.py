@@ -154,6 +154,10 @@ class TestReversedConstruct:
         with pytest.raises(ValueError):
             reversed_construct(2, 3)
 
+    def test_unsupported_degree_refused(self):
+        with pytest.raises(ValueError, match="degree must be one of"):
+            reversed_construct(24, 4)
+
 
 def scan_cofactors(n, p, k_max):
     """The original per-candidate search, kept as the oracle: test N, then

@@ -133,6 +133,12 @@ class TestVerify:
         assert main(["verify", "--cert", str(DATA / "forged_8299.cert")]) == EXIT_REJECT
         assert capsys.readouterr().out.strip() == "verdict=REJECT reason=FERMAT"
 
+    def test_zero_divisor_exit_three(self, capsys):
+        # N = 8299 = 43·193 and w ≡ the forged element mod 43, ≡ 1 mod 193
+        path = str(DATA / "zero_divisor_8299.cert")
+        assert main(["verify", "--cert", path]) == EXIT_COMPOSITE
+        assert capsys.readouterr().out == "verdict=COMPOSITE reason=ZERO_DIVISOR witness=193\n"
+
     def test_golden_certificate_prime(self, capsys):
         assert main(["verify", "--cert", str(DATA / "golden_n7.cert")]) == EXIT_PRIME
         assert capsys.readouterr().out.strip() == "verdict=PRIME"

@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 
 from cyclocert import is_probable_prime, monogenic_ok, pth_residue, sqrt_minus3
-from cyclocert.numtheory import _lucas_test, _strong_test, is_squarefree_small, smooth_part
+from cyclocert.numtheory import _lucas_test, _strong_test, is_squarefree_small, smooth_part, twist
 from cyclocert.reference import REFERENCE_CHAINS_DEGREE3
 from helpers import sieve_primes, strong_rounds_prime
 
@@ -68,6 +68,35 @@ class TestPthResidue:
             cubes = {pow(x, p, n) for x in range(1, n)}
             for a in range(1, n):
                 assert pth_residue(a, n, p) == (a in cubes)
+
+
+class TestTwist:
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_none_exactly_on_pth_powers(self, p):
+        # the p-th powers by brute force, not through pth_residue
+        for n in sieve_primes(200):
+            if n % p != 1:
+                continue
+            powers = {pow(x, p, n) for x in range(1, n)}
+            for a in range(1, n):
+                zeta = twist(a, n, p)
+                assert (zeta is None) == (a in powers)
+                if zeta is not None:
+                    assert zeta != 1 and pow(zeta, p, n) == 1
+
+    def test_wrong_congruence_is_none(self):
+        assert twist(2, 8, 3) is None
+        assert twist(2, 11, 3) is None
+        assert twist(2, 13, 5) is None
+
+    def test_common_factor_is_none(self):
+        assert twist(7, 49, 3) is None
+        assert twist(3, 7, 3) == 2  # 3² ≡ 2 (mod 7)
+        assert twist(5, 55, 3) is None
+
+    def test_zero_base_is_none(self):
+        for n, p in [(7, 3), (13, 3), (11, 5), (31, 5)]:
+            assert twist(0, n, p) is None
 
 
 class TestIsProbablePrime:
