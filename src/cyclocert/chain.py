@@ -19,7 +19,7 @@ from itertools import chain as chain_iterables
 from itertools import compress, repeat
 from math import isqrt
 
-from .numtheory import _sieve, cyclotomic_roots, is_probable_prime, smooth_part
+from .numtheory import _sieve, _strong_test, cyclotomic_roots, is_probable_prime, smooth_part
 from .ring import PRIME_DEGREES, cyclotomic_value
 
 DEFAULT_K_MAX = 10_000
@@ -145,17 +145,19 @@ def sieve_window(start: int, count: int, p: int, k_max: int) -> bytearray:
     return flags
 
 
-def cofactor_split(phi: int, k_max: int) -> tuple[int, int] | None:
+def cofactor_split(phi: int, p: int, k_max: int) -> tuple[int, int] | None:
     """The one split Phi = k·q with k <= k_max that can hold a prime q with q² > Phi.
 
     Such a q is the only prime factor of Phi above isqrt(Phi), so k must be
     the y-smooth part of Phi for y = min(k_max, isqrt(Phi)).  Taking
-    y = k_max alone would swallow a q <= k_max of a small Phi.  None when
-    that part exceeds k_max or leaves q = 1.  Every accepted chain has
-    q² > Phi: the structural bound (q+1)² > N^p and q <= Phi give
-    q² > N^p - 1 - 2·Phi, which is at least Phi = (N^p - 1)/(N - 1) for N >= 4.
+    y = k_max alone would swallow a q <= k_max of a small Phi.  The prime
+    factors of Phi = Phi_p(N) are p or ≡ 1 (mod p), so only those primes
+    are stripped (smooth_part).  None when that part exceeds k_max or leaves
+    q = 1.  Every accepted chain has q² > Phi: the structural bound
+    (q+1)² > N^p and q <= Phi give q² > N^p - 1 - 2·Phi, which is at least
+    Phi = (N^p - 1)/(N - 1) for N >= 4.
     """
-    k = smooth_part(phi, min(k_max, isqrt(phi)))
+    k = smooth_part(phi, p, min(k_max, isqrt(phi)))
     if k > k_max or k == phi:
         return None
     return k, phi // k
@@ -164,15 +166,15 @@ def cofactor_split(phi: int, k_max: int) -> tuple[int, int] | None:
 def candidate_split(n: int, p: int, k_max: int) -> tuple[int, int] | None:
     """(k, q) with Phi_p(n) = k·q that passes every check of the chain, or None.
 
-    The cofactor comes first because it needs only gcds; then n gets one
-    BPSW test (is_probable_prime), then the structural bound, then q gets
-    one BPSW test.  Composites mostly fail the base-2 strong test at its
-    start, so a prime pays for one strong test and one Lucas test.
+    Cheapest first: the cofactor (gcds only), a base-2 strong test on n,
+    the structural bound, a BPSW test on q (is_probable_prime), then one on
+    n.  BPSW(n) implies the strong test, so the order does not change the
+    split; it runs the Lucas test on n only once q is known to be prime.
     """
-    split = cofactor_split(cyclotomic_value(n, p), k_max)
-    if split is None or not is_probable_prime(n):
+    split = cofactor_split(cyclotomic_value(n, p), p, k_max)
+    if split is None or not _strong_test(n, 2) or not structural_bound_ok(n, split[1], p):
         return None
-    if not structural_bound_ok(n, split[1], p) or not is_probable_prime(split[1]):
+    if not is_probable_prime(split[1]) or not is_probable_prime(n):
         return None
     return split
 

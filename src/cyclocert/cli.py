@@ -91,7 +91,7 @@ def _cmd_filter(args) -> int:
     ctx = make_context(n, 3, d)
     if args.bases < 1:
         raise ValueError(f"--bases must be at least 1, got {args.bases}")
-    found = cofactor_split(ctx.phi_p_n, DEFAULT_K_MAX)
+    found = cofactor_split(ctx.phi_p_n, 3, DEFAULT_K_MAX)
     if found is None or not is_probable_prime(found[1]):
         raise ValueError("no factorization n²+n+1 = k·q with a small cofactor found")
     if twist(d, n, 3) is None:

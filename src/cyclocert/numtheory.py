@@ -144,20 +144,22 @@ def is_probable_prime(n: int, rounds: int = 0) -> bool:
 
 
 @lru_cache(maxsize=8)
-def _primorial(y: int) -> int:
-    return prod(_sieve(y))
+def _split_primorial(p: int, y: int) -> int:
+    return prod(ell for ell in _sieve(y) if ell % p in (0, 1))
 
 
-def smooth_part(m: int, y: int) -> int:
-    """Largest divisor of m > 0 whose prime factors are all at most y.
+def smooth_part(m: int, p: int, y: int) -> int:
+    """Largest divisor of m > 0 whose prime factors are p or ≡ 1 (mod p) and at most y.
 
-    One gcd with the product of the primes up to y finds the primes present;
-    each further gcd strips one more power of them.
+    For m = Phi_p(N) that is the whole y-smooth part: a prime r ≠ p dividing
+    Phi_p(N) has N of order p mod r, so r ≡ 1 (mod p).  One gcd with the
+    product of those primes finds the ones present; each further gcd strips
+    one more power of them.
     """
     if m < 1:
         raise ValueError("require m >= 1")
     part = 1
-    g = gcd(m, _primorial(y))
+    g = gcd(m, _split_primorial(p, y))
     while g > 1:
         part *= g
         m //= g

@@ -1,6 +1,7 @@
 """Construction chain: the forward construction, the sieved search, bounds, bases."""
 
 import random
+from itertools import compress
 from math import gcd
 
 import pytest
@@ -10,18 +11,21 @@ from cyclocert import (
     cyclotomic_roots,
     cyclotomic_value,
     forward_construct,
+    generate_certificate,
     is_probable_prime,
     reversed_construct,
     select_base_d,
     structural_bound_ok,
 )
-from cyclocert import certify
+from cyclocert import certify, numtheory
 from cyclocert.chain import (
     SIEVE_BOUND,
+    SIEVE_WINDOW,
     candidate_split,
     cofactor_split,
     sieve_window,
 )
+from cyclocert.numtheory import _strong_test
 from cyclocert.reference import REFERENCE_CHAINS_DEGREE3, REFERENCE_CHAINS_DEGREE5
 from helpers import ScriptedBits, sieve_primes
 
@@ -217,6 +221,20 @@ class TestSievedSearchMatchesScan:
             if not flags[i]:
                 assert scan_cofactors(n, p, k_max) is None, n
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_window_beyond_trial_division(self, p):
+        # 40-bit N exceed 2048², so is_probable_prime runs its strong and Lucas
+        # tests on N and q; k_max = 100 keeps the oracle's k loop short
+        start = (1 << 39) + 1 + (-(1 << 39)) % (2 * p)
+        flags = sieve_window(start, SIEVE_WINDOW, p, 100)
+        accepted = 0
+        for i in compress(range(SIEVE_WINDOW), flags):
+            n = start + 2 * p * i
+            split = candidate_split(n, p, 100)
+            assert split == scan_cofactors(n, p, 100), n
+            accepted += split is not None
+        assert accepted > 0
+
     def test_windows_agree_at_any_start(self):
         for p, limit in [(3, 3000), (5, 400)]:
             for k_max in (10, 10000):
@@ -231,16 +249,51 @@ class TestSievedSearchMatchesScan:
 
     def test_smooth_part_bound_is_not_k_max_alone(self):
         # q = 19 <= k_max must stay out of k: y is capped at isqrt(Phi)
-        assert cofactor_split(57, 100) == (3, 19)
+        assert cofactor_split(57, 3, 100) == (3, 19)
         assert candidate_split(7, 3, 100) == (3, 19)
         assert candidate_split(11, 5, 10000) == scan_cofactors(11, 5, 10000)
 
     def test_fully_smooth_value_has_no_split(self):
-        assert cofactor_split(3 * 7 * 13, 10000) is None
+        assert cofactor_split(3 * 7 * 13, 3, 10000) is None
 
     def test_window_start_must_be_admissible(self):
         with pytest.raises(ValueError):
             sieve_window(9, 10, 3, 100)
+
+
+class TestCheapestFirst:
+    @pytest.mark.parametrize("n,k", [(9_863_461, 93), (15_976_747, 3), (23_828_017, 3)])
+    def test_base2_strong_pseudoprime_refused(self, n, k):
+        # every check but the Lucas test on n passes, so that test must still run
+        assert n > 2048**2 and n % 6 == 1 and _strong_test(n, 2)
+        split = cofactor_split(cyclotomic_value(n, 3), 3, 10_000)
+        assert split is not None and split[0] == k
+        assert is_probable_prime(split[1]) and structural_bound_ok(n, split[1], 3)
+        assert not is_probable_prime(n)
+        assert candidate_split(n, 3, 10_000) is None
+
+    def test_lucas_tests_only_on_accepted_splits(self, monkeypatch):
+        # one Lucas test on q and one on N per accepted chain, and none on an
+        # N whose q fails its base-2 strong test
+        lucas_calls, accepted = [], []
+        lucas, construct = numtheory._lucas_test, certify.reversed_construct
+
+        def counting_lucas(n):
+            lucas_calls.append(n)
+            return lucas(n)
+
+        def recording_construct(*args, **kwargs):
+            result = construct(*args, **kwargs)
+            if result.accepted:
+                accepted.append(result)
+            return result
+
+        monkeypatch.setattr(numtheory, "_lucas_test", counting_lucas)
+        monkeypatch.setattr(certify, "reversed_construct", recording_construct)
+        for seed in range(10):
+            generate_certificate(192, p=3, rng=random.Random(seed))
+        assert len(accepted) >= 10
+        assert len(lucas_calls) <= 2 * len(accepted)
 
 
 class TestSecurityGcds:

@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 
-from cyclocert import is_probable_prime, monogenic_ok, pth_residue, sqrt_minus3
+from cyclocert import cyclotomic_value, is_probable_prime, monogenic_ok, pth_residue, sqrt_minus3
 from cyclocert.numtheory import _lucas_test, _strong_test, is_squarefree_small, smooth_part, twist
 from cyclocert.reference import REFERENCE_CHAINS_DEGREE3
 from helpers import sieve_primes, strong_rounds_prime
@@ -166,21 +166,33 @@ class TestBailliePSW:
         assert not any(is_probable_prime(n) for n in products)
 
 
+def part_over(m, primes):
+    """The largest divisor of m whose prime factors lie in primes, by trial division."""
+    part = 1
+    for ell in primes:
+        while m % ell == 0:
+            m //= ell
+            part *= ell
+    return part
+
+
 class TestSmoothPart:
     def test_matches_trial_division(self):
-        for y in (1, 2, 3, 7, 30):
-            primes = sieve_primes(y)
-            for m in range(1, 3000):
-                expected, rest = 1, m
-                for ell in primes:
-                    while rest % ell == 0:
-                        rest //= ell
-                        expected *= ell
-                assert smooth_part(m, y) == expected, (m, y)
+        # on any m only p and the primes ≡ 1 (mod p) are stripped; on Phi_p(n)
+        # those are all of its prime factors, so the result is its y-smooth part
+        for p in (3, 5, 7):
+            for y in (1, 2, 3, 7, 30, 500):
+                primes = sieve_primes(y)
+                split = [ell for ell in primes if ell == p or ell % p == 1]
+                for m in range(1, 3000):
+                    assert smooth_part(m, p, y) == part_over(m, split), (m, p, y)
+                for n in range(2, 300):
+                    phi = cyclotomic_value(n, p)
+                    assert smooth_part(phi, p, y) == part_over(phi, primes), (n, p, y)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            smooth_part(0, 10)
+            smooth_part(0, 3, 10)
 
 
 def squarefree_flags(limit):
