@@ -7,16 +7,17 @@ Elements are coefficient vectors of length exactly p, fully reduced into
 [0, N) after every operation.  Everything here is a pure function of
 immutable inputs.
 
-Products run on plain lists of ints with one kernel for every degree: a
-schoolbook product, a squaring that takes each cross term once as
-2·a_i·a_j, and a sliding-window exponentiation over both.  A RingElement
-is built only at the end of ring_mul and ring_pow.
+Products run on tuples of plain ints through straight-line kernels
+generated once per degree from the schoolbook formula (p² coefficient
+products, p(p+1)/2 for a squaring), under a sliding-window exponentiation.
+A RingElement is built only at the end of ring_mul and ring_pow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import gcd
 from typing import Iterable
 
@@ -107,46 +108,43 @@ def ring_sub(ctx: RingContext, a: RingElement, b: RingElement) -> RingElement:
     return RingElement(tuple((x - y) % N for x, y in zip(a.coeffs, b.coeffs)))
 
 
-def _fold(conv: list[int], p: int, N: int, d: int) -> list[int]:
-    """Fold the coefficient of x^(p+i) into x^i with multiplier d, then reduce mod N."""
-    for i in range(p - 1):
-        conv[i] += d * conv[i + p]
-    return [c % N for c in conv[:p]]
+@lru_cache(maxsize=None)
+def _kernels(p: int):
+    """Straight-line product mul(a, b, N, d) and squaring sqr(a, N, d) for degree p.
 
-
-def _mul(a, b, p: int, N: int, d: int) -> list[int]:
-    """Product of two coefficient sequences: schoolbook convolution, then the fold."""
-    conv = [0] * (2 * p - 1)
-    for i, ai in enumerate(a):
-        k = i
-        for bj in b:
-            conv[k] += ai * bj
-            k += 1
-    return _fold(conv, p, N, d)
-
-
-def _sqr(a, p: int, N: int, d: int) -> list[int]:
-    """Square of a coefficient sequence with p(p+1)/2 products.
-
-    Each off-diagonal pair enters once as 2·a_i·a_j, so p = 3 takes 6
-    products where the general convolution takes 9.
+    Generated once per degree from coefficient indices only, never from
+    input.  Coefficient c of the result is conv[c] + d·conv[c + p], reduced
+    once mod N, where conv is the schoolbook convolution.  The product makes
+    p² coefficient products; the squaring takes each cross term once as
+    2·a_i·a_j, so it makes p(p+1)/2.  Both unpack their operands, so a
+    sequence whose length is not p raises ValueError.
     """
-    conv = [0] * (2 * p - 1)
-    for i, ai in enumerate(a):
-        conv[2 * i] += ai * ai
-        twice = ai << 1
-        k = 2 * i + 1
-        for aj in a[i + 1 :]:
-            conv[k] += twice * aj
-            k += 1
-    return _fold(conv, p, N, d)
+
+    def conv(k, b):
+        """conv[k] of a and b; for the squaring, b is "a" and each pair i < j enters once."""
+        pairs = [(i, k - i) for i in range(p) if 0 <= k - i < p and (b == "b" or i <= k - i)]
+        return " + ".join(f"a{i}*{b}{j}" if b == "b" or i == j else f"2*(a{i}*a{j})" for i, j in pairs)
+
+    def reduced(b):
+        wrapped = [f" + d*({conv(c + p, b)})" for c in range(p - 1)] + [""]
+        return ", ".join(f"({conv(c, b)}{wrapped[c]}) % N" for c in range(p))
+
+    a = ", ".join(f"a{i}" for i in range(p))
+    namespace: dict = {}
+    exec(
+        f"def mul(a, b, N, d):\n    {a} = a\n    {a.replace('a', 'b')} = b\n    return ({reduced('b')},)\n"
+        f"def sqr(a, N, d):\n    {a} = a\n    return ({reduced('a')},)\n",
+        namespace,
+    )
+    return namespace["mul"], namespace["sqr"]
 
 
 def ring_mul(ctx: RingContext, a: RingElement, b: RingElement) -> RingElement:
     """Product reduced by x**p = d and then mod N; ring_mul(a, a) squares."""
+    mul, sqr = _kernels(ctx.p)
     if a is b:
-        return RingElement(tuple(_sqr(a.coeffs, ctx.p, ctx.N, ctx.d)))
-    return RingElement(tuple(_mul(a.coeffs, b.coeffs, ctx.p, ctx.N, ctx.d)))
+        return RingElement(sqr(a.coeffs, ctx.N, ctx.d))
+    return RingElement(mul(a.coeffs, b.coeffs, ctx.N, ctx.d))
 
 
 def _window_width(bits: int) -> int:
@@ -165,21 +163,23 @@ def ring_pow(ctx: RingContext, a: RingElement, e: int) -> RingElement:
     """
     if e < 0:
         raise ValueError("exponent must be nonnegative")
+    if len(a.coeffs) != ctx.p:
+        raise ValueError(f"an element has exactly {ctx.p} coefficients")
     if e == 0:
         return one(ctx)
-    p, N, d = ctx.p, ctx.N, ctx.d
+    (mul, sqr), N, d = _kernels(ctx.p), ctx.N, ctx.d
     digits = bin(e)[2:]
     width = _window_width(len(digits))
-    odd = [[c % N for c in a.coeffs]]
+    odd = [tuple(c % N for c in a.coeffs)]
     if width > 1:
-        square = _sqr(odd[0], p, N, d)
+        square = sqr(odd[0], N, d)
         for _ in range((1 << (width - 1)) - 1):
-            odd.append(_mul(odd[-1], square, p, N, d))
+            odd.append(mul(odd[-1], square, N, d))
     acc = None
     i = 0
     while i < len(digits):
         if digits[i] == "0":
-            acc = _sqr(acc, p, N, d)
+            acc = sqr(acc, N, d)
             i += 1
             continue
         j = min(i + width, len(digits))
@@ -190,10 +190,10 @@ def ring_pow(ctx: RingContext, a: RingElement, e: int) -> RingElement:
             acc = entry
         else:
             for _ in range(j - i):
-                acc = _sqr(acc, p, N, d)
-            acc = _mul(acc, entry, p, N, d)
+                acc = sqr(acc, N, d)
+            acc = mul(acc, entry, N, d)
         i = j
-    return RingElement(tuple(acc))
+    return RingElement(acc)
 
 
 def _bareiss_det(m: list[list[int]]) -> int:

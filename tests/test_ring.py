@@ -72,7 +72,41 @@ class TestMakeContext:
             assert ctx.phi_p_n * (n - 1) == n**p - 1
 
 
+def _coefficient_products(p, square):
+    """Products whose two operands are both input coefficients in one ring_mul."""
+    products = []
+
+    class Coefficient(int):
+        def __mul__(self, other):
+            if isinstance(other, Coefficient):
+                products.append((int(self), int(other)))
+            return int(self) * int(other)
+
+        __rmul__ = __mul__
+
+    ctx = unchecked_context(1009, p, 3)
+    a = RingElement(tuple(Coefficient(c) for c in range(2, p + 2)))
+    b = a if square else RingElement(tuple(Coefficient(c) for c in range(5, p + 5)))
+    result = ring_mul(ctx, a, b)
+    count = len(products)
+    assert result == schoolbook_mul(ctx, element(ctx, a.coeffs), element(ctx, b.coeffs))
+    return count
+
+
 class TestRingMul:
+    @pytest.mark.parametrize("p", PRIME_DEGREES)
+    def test_coefficient_product_counts(self, p):
+        assert _coefficient_products(p, square=False) == p * p
+        assert _coefficient_products(p, square=True) == p * (p + 1) // 2
+
+    @pytest.mark.parametrize("coeffs", [(1, 2), (1, 2, 3, 4)])
+    def test_wrong_length_rejected(self, coeffs):
+        ctx = ctx7()
+        bad = RingElement(coeffs)
+        for a, b in [(bad, bad), (bad, theta(ctx)), (theta(ctx), bad)]:
+            with pytest.raises(ValueError):
+                ring_mul(ctx, a, b)
+
     def test_theta_cubed_reduces_to_d(self):
         ctx = ctx7()
         assert ring_mul(ctx, theta(ctx), element(ctx, (0, 0, 1))).coeffs == (2, 0, 0)
@@ -129,6 +163,12 @@ class TestRingPow:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             ring_pow(ctx7(), theta(ctx7()), -1)
+
+    @pytest.mark.parametrize("coeffs", [(1, 2), (1, 2, 3, 4)])
+    @pytest.mark.parametrize("e", [0, 1, 2, 6, 2**70 + 1])
+    def test_wrong_length_rejected(self, coeffs, e):
+        with pytest.raises(ValueError):
+            ring_pow(ctx7(), RingElement(coeffs), e)
 
     @given(st.data())
     @settings(max_examples=40)
