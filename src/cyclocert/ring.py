@@ -156,7 +156,7 @@ def ring_pow(ctx: RingContext, a: RingElement, e: int) -> RingElement:
     """a**e by left-to-right sliding windows of odd powers; a**0 is the identity.
 
     The Handbook of Applied Cryptography's Alg. 14.85 on plain coefficient
-    lists: the table holds a, a^3, ..., a^(2^w - 1) for a width w chosen
+    tuples: the table holds a, a^3, ..., a^(2^w - 1) for a width w chosen
     from the exponent's length, each zero bit costs a squaring, and each
     window of at most w bits ending in a one costs its squarings and one
     table product.
