@@ -10,17 +10,15 @@ for tiny N; the Korselt route only needs the factorization of N.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from itertools import product
-from math import gcd, isqrt
+from math import gcd
 
-from .numtheory import SMALL_PRIMES, _sieve, is_probable_prime, twist
+from .numtheory import SMALL_PRIMES, is_probable_prime, twist
 from .ring import RingElement, UnitKind, classify_unit, one, ring_pow, unchecked_context
 
 FACTOR_LIMIT = 10**12
 DIRECT_LIMIT = 60
-SEARCH_LIMIT = 10**7
 
 
 def _pollard_rho(n: int) -> int:
@@ -88,7 +86,17 @@ class CarmichaelReport:
     irreducibility_ok: bool
 
 
-def _report_from_factors(n: int, d: int, factors: list[tuple[int, int]]) -> CarmichaelReport:
+def korselt_check(n: int, d: int) -> CarmichaelReport:
+    """Korselt-style report for a composite n ≡ 1 (mod 3), gcd(n, 3d) = 1."""
+    if n > FACTOR_LIMIT:
+        raise ValueError(f"factoring backend capped at {FACTOR_LIMIT}")
+    if n % 3 != 1:
+        raise ValueError("require n ≡ 1 (mod 3)")
+    if gcd(n, 3 * d) != 1:
+        raise ValueError("require gcd(n, 3d) = 1")
+    factors = factorize(n)
+    if len(factors) == 1 and factors[0][1] == 1:
+        raise ValueError("n must be composite")
     squarefree = all(e == 1 for _, e in factors)
     n3 = n**3 - 1
     divisibility = all(n3 % (q**3 - 1) == 0 for q, _ in factors)
@@ -102,20 +110,6 @@ def _report_from_factors(n: int, d: int, factors: list[tuple[int, int]]) -> Carm
         korselt_ok=squarefree and divisibility,
         irreducibility_ok=irreducible,
     )
-
-
-def korselt_check(n: int, d: int) -> CarmichaelReport:
-    """Korselt-style report for a composite n ≡ 1 (mod 3), gcd(n, 3d) = 1."""
-    if n > FACTOR_LIMIT:
-        raise ValueError(f"factoring backend capped at {FACTOR_LIMIT}")
-    if n % 3 != 1:
-        raise ValueError("require n ≡ 1 (mod 3)")
-    if gcd(n, 3 * d) != 1:
-        raise ValueError("require gcd(n, 3d) = 1")
-    factors = factorize(n)
-    if len(factors) == 1 and factors[0][1] == 1:
-        raise ValueError("n must be composite")
-    return _report_from_factors(n, d, factors)
 
 
 def carmichael_direct(n: int, d: int) -> bool:
@@ -143,37 +137,3 @@ def carmichael_direct(n: int, d: int) -> bool:
         if ring_pow(ctx, z, e) != one(ctx):
             return False
     return True
-
-
-def search_carmichael(bound: int, d: int) -> list[CarmichaelReport]:
-    """All composite n ≡ 1 (mod 3) up to bound with korselt_ok, ascending.
-
-    Factors every candidate through one smallest-prime-factor table up to
-    the bound, which is capped at SEARCH_LIMIT.  Each prime ℓ <= √bound
-    marks its multiples from ℓ², largest ℓ first, so a composite ends up
-    holding its smallest prime factor.
-    """
-    if d < 2:
-        raise ValueError("base d must exceed 1")
-    if bound > SEARCH_LIMIT:
-        raise ValueError(f"search capped at {SEARCH_LIMIT}")
-    spf = array("i", range(bound + 1))
-    for ell in reversed(_sieve(isqrt(max(bound, 0)))):
-        spf[ell * ell :: ell] = array("i", [ell]) * len(range(ell * ell, bound + 1, ell))
-    hits = []
-    for n in range(4, bound + 1):
-        if n % 3 != 1 or gcd(n, 3 * d) != 1:
-            continue
-        m = n
-        factors: dict[int, int] = {}
-        while m > 1:
-            p = spf[m]
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
-        factor_items = sorted(factors.items())
-        if len(factor_items) == 1 and factor_items[0][1] == 1:
-            continue  # prime
-        report = _report_from_factors(n, d, factor_items)
-        if report.korselt_ok:
-            hits.append(report)
-    return hits

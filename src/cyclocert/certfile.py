@@ -3,8 +3,9 @@
 One `key=value` pair per line in canonical order (version, p, d, N, q, k,
 w0..w{p-1}, seed_trust), integers as unsigned base-10 without leading
 zeros.  Certificates are audit artifacts, so the format is human-diffable
-and strict: unknown, missing, or duplicate keys are all rejected, and the
-arithmetic invariants are re-validated on decode.
+and strict: lines break at LF and nowhere else, unknown, missing, or
+duplicate keys are all rejected, and the arithmetic invariants are
+re-validated on decode.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ class CertVersionError(CertFileError):
 
 
 _INT_RE = re.compile(r"^(0|[1-9][0-9]*)$")
+# the breaks str.splitlines() honours besides LF; lines end at LF only
+_OTHER_BREAK_RE = re.compile("[\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def _check_invariants(cert: Certificate) -> None:
@@ -78,7 +81,10 @@ def cert_decode(text: str) -> Certificate:
     if not text.strip():
         raise CertFormatError("empty certificate text")
     pairs: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        other = _OTHER_BREAK_RE.search(line)
+        if other:
+            raise CertFormatError(f"line {lineno}: line break {other.group()!r} other than LF")
         if not line.strip():
             continue
         key, sep, value = line.partition("=")

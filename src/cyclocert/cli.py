@@ -1,11 +1,11 @@
 """Command-line surface.
 
-One subcommand per procedure: `generate`, `verify`, `filter`, `carmichael`,
-`bench`, and `roots`.  Machine-readable results go to stdout, diagnostics to
-stderr.  `verify` exits 0 for PRIME and distinguishes REJECT (2),
-COMPOSITE (3), RETRY (4), and file-level format problems (5); other
-subcommands exit 0 on success and 1 on domain errors, which `main` reports
-as one stderr line `<what> failed: <reason>`.
+One subcommand per procedure: `generate`, `verify`, `filter`, `bench`, and
+`roots`.  Machine-readable results go to stdout, diagnostics to stderr.
+`verify` exits 0 for PRIME and distinguishes REJECT (2), COMPOSITE (3),
+RETRY (4), and file-level format problems (5); other subcommands exit 0 on
+success and 1 on domain errors, which `main` reports as one stderr line
+`<what> failed: <reason>`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import random
 import sys
 
 from .bench import run_bench
-from .carmichael import search_carmichael
 from .certfile import CertFileError, cert_decode, cert_encode
 from .certify import GenerationError, Outcome, Verdict, generate_certificate, sprp_filter, verify
 from .chain import DEFAULT_K_MAX, cofactor_split
@@ -69,7 +68,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        with open(args.cert, encoding="utf-8") as fh:
+        with open(args.cert, encoding="utf-8", newline="") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read certificate: {exc}", file=sys.stderr)
@@ -110,19 +109,6 @@ def _cmd_filter(args) -> int:
         print(f"base={i} pass={str(ok).lower()}")
     print(f"passed={passed}/{args.bases}")
     return 0 if passed == args.bases else 1
-
-
-def _cmd_carmichael(args) -> int:
-    reports = search_carmichael(args.max, args.d)
-    for r in reports:
-        factors = ",".join(str(f) for f in r.factor_list)
-        print(
-            f"N={r.N} factors={factors} squarefree={str(r.squarefree).lower()} "
-            f"korselt_ok={str(r.korselt_ok).lower()} "
-            f"irreducibility_ok={str(r.irreducibility_ok).lower()}"
-        )
-    print(f"count={len(reports)}", file=sys.stderr)
-    return 0
 
 
 def _cmd_bench(args) -> int:
@@ -174,11 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--bases", type=int, required=True, help="number of random bases")
     f.add_argument("--rng-seed", type=int, default=0)
     f.set_defaults(func=_cmd_filter, failure="filter failed")
-
-    c = sub.add_parser("carmichael", help="search for cubic Carmichael candidates")
-    c.add_argument("--max", type=int, required=True)
-    c.add_argument("--d", type=int, required=True)
-    c.set_defaults(func=_cmd_carmichael, failure="search failed")
 
     b = sub.add_parser("bench", help="time certificate verification across sizes")
     b.add_argument("--bits", required=True, help="comma-separated ascending bit sizes")

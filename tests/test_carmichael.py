@@ -12,7 +12,6 @@ from cyclocert import (
     factorize,
     is_probable_prime,
     korselt_check,
-    search_carmichael,
 )
 
 
@@ -156,64 +155,3 @@ class TestCarmichaelDirect:
                 assert report.korselt_ok == carmichael_direct(n, d)
                 checked += 1
         assert checked > 0  # 49 qualifies for every d in {2, 3, 5}
-
-
-class TestSearchCarmichael:
-    def test_no_hits_below_200(self):
-        assert search_carmichael(200, 2) == []
-
-    def test_tiny_bound_empty(self):
-        for d in (2, 3, 5):
-            for bound in (-5, 0, 4):
-                assert search_carmichael(bound, d) == []
-
-    def test_monotone_in_bound(self):
-        small = search_carmichael(500, 2)
-        large = search_carmichael(2000, 2)
-        assert large[: len(small)] == small
-
-    def test_no_hits_below_one_million(self):
-        # frozen by an independent smallest-prime-factor sweep before the
-        # build: no composite N ≡ 1 (mod 3) with gcd(N, 6) = 1 up to 10^6
-        # meets both Korselt conditions
-        assert search_carmichael(10**6, 2) == []
-
-    def test_bound_cap(self):
-        for bound in (10**7 + 1, 10**8 + 1):
-            with pytest.raises(ValueError):
-                search_carmichael(bound, 2)
-
-    @pytest.mark.parametrize("d", [0, 1, -2])
-    def test_base_below_two_refused(self, d):
-        # with d = 0, gcd(n, 3d) = n would skip every n
-        with pytest.raises(ValueError, match="base d must exceed 1"):
-            search_carmichael(100, d)
-
-    @pytest.mark.parametrize("d", [2, 5])
-    def test_factor_table_matches_factorize(self, d, monkeypatch):
-        # the search output is empty at these bounds, so read the factor
-        # lists it hands to the Korselt report
-        seen = []
-        plain = carmichael._report_from_factors
-
-        def recording(n, base, factors):
-            seen.append((n, factors))
-            return plain(n, base, factors)
-
-        monkeypatch.setattr(carmichael, "_report_from_factors", recording)
-        bound = 2 * 10**4
-        search_carmichael(bound, d)
-        expected = [
-            n
-            for n in range(4, bound + 1)
-            if n % 3 == 1 and gcd(n, 3 * d) == 1 and not is_probable_prime(n)
-        ]
-        assert [n for n, _ in seen] == expected
-        for n, factors in seen:
-            assert factors == factorize(n), n
-
-    def test_hits_would_satisfy_invariant(self):
-        # any emitted report must be squarefree with the divisibility facts
-        for report in search_carmichael(3000, 5):
-            assert report.squarefree
-            assert all((report.N**3 - 1) % (q**3 - 1) == 0 for q in report.factor_list)

@@ -1,6 +1,7 @@
 """Certificate text format: golden file, round trips, strict rejection."""
 
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -181,3 +182,15 @@ class TestDecodeValidation:
     def test_blank_lines_between_pairs_ignored(self):
         text = GOLDEN.read_text().replace("\n", "\n\n")
         assert cert_decode(text) == fixture_cert()
+
+    @pytest.mark.parametrize("whole_file", [True, False], ids=["every-line", "one-line"])
+    @pytest.mark.parametrize(
+        "sep", ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_line_breaks_other_than_lf_refused(self, sep, whole_file):
+        # str.splitlines() breaks on all of these; `d=2<sep>N=7` is one line to grep and diff
+        golden = GOLDEN.read_text()
+        text = golden.replace("\n", sep) if whole_file else golden.replace("d=2\n", "d=2" + sep)
+        lineno = 1 if whole_file else 3
+        with pytest.raises(CertFormatError, match=re.escape(f"line {lineno}: line break {sep[0]!r} ")):
+            cert_decode(text)

@@ -170,6 +170,16 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("sep", [b"\r\n", b"\r", b"\v", "\u2028".encode()])
+    def test_golden_with_other_line_breaks_exit_five(self, sep, tmp_path, capsys):
+        # the file reaches the decoder as written, so CR-LF is not read as LF
+        path = tmp_path / "golden.cert"
+        path.write_bytes((DATA / "golden_n7.cert").read_bytes().replace(b"\n", sep))
+        assert main(["verify", "--cert", str(path)]) == EXIT_FORMAT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("certificate file rejected: line 1: line break ")
+
     def test_missing_file_exit_five(self, capsys):
         assert main(["verify", "--cert", "/nonexistent/path.cert"]) == EXIT_FORMAT
 
@@ -205,22 +215,6 @@ class TestFilter:
         assert captured.err.count("\n") == 1 and captured.err.startswith("filter failed: ")
 
 
-class TestCarmichaelCommand:
-    def test_empty_search(self, capsys):
-        assert main(["carmichael", "--max", "500", "--d", "2"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "count=0" in captured.err
-
-    @pytest.mark.parametrize("d", [0, 1, -2])
-    def test_base_below_two_refused(self, d, capsys):
-        # with d = 0, gcd(n, 3d) = n would skip every n and report count=0
-        assert main(["carmichael", "--max", "100", "--d", str(d)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1 and captured.err.startswith("search failed: ")
-
-
 class TestBenchCommand:
     def test_small_bench(self, capsys):
         assert main(["bench", "--bits", "32,40", "--rng-seed", "1"]) == 0
@@ -247,6 +241,12 @@ class TestRootsCommand:
 
 
 class TestMalformedInput:
+    def test_removed_carmichael_subcommand_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["carmichael", "--max", "100", "--d", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'carmichael'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -275,7 +275,7 @@ class TestFailurePath:
             (["generate", "--bits", "2"], "generation failed: "),
             (["filter", "--n", "67", "--d", "2", "--bases", "1"], "filter failed: no "),
             (["filter", "--n", "13", "--d", "5", "--bases", "1"], "filter failed: d = 5 "),
-            (["carmichael", "--max", "100", "--d", "1"], "search failed: "),
+            (["generate", "--bits", "7", "--degree", "5"], "generation failed: certificate "),
             (["bench", "--bits", "40,32"], "bench failed: "),
             (["roots", "--p", "3", "--q", "5"], "roots failed: "),
         ],

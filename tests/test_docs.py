@@ -1,5 +1,6 @@
 """The README's command lines and the package exports name only what exists."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -28,10 +29,11 @@ def readme_commands():
 
 def test_readme_commands_parse():
     commands = readme_commands()
-    assert len(commands) >= 8
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {argv[0] for argv in commands} == set(subparsers.choices)
 
 
 def test_readme_commands_run(tmp_path, monkeypatch):
