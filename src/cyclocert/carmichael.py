@@ -15,7 +15,7 @@ from itertools import product
 from math import gcd
 
 from .numtheory import SMALL_PRIMES, is_probable_prime, twist
-from .ring import RingElement, UnitKind, classify_unit, one, ring_pow, unchecked_context
+from .ring import RingElement, UnitKind, classify_unit, make_context, one, ring_pow
 
 FACTOR_LIMIT = 10**12
 DIRECT_LIMIT = 60
@@ -116,8 +116,9 @@ def carmichael_direct(n: int, d: int) -> bool:
     """Direct definition by exhaustive enumeration: every unit z has
     z^(n³-1) = 1.  Only feasible for n up to DIRECT_LIMIT.
 
-    Scalars are swept first: they fail early for almost every composite,
-    which keeps the full n³-element enumeration off the hot path.
+    Scalars are swept first.  They reject every even n and every composite
+    up to DIRECT_LIMIT, so the ring is built, under make_context's gates,
+    and enumerated only for a rare n such as 133.
     """
     if n > DIRECT_LIMIT:
         raise ValueError(f"exhaustive enumeration capped at {DIRECT_LIMIT}")
@@ -125,11 +126,11 @@ def carmichael_direct(n: int, d: int) -> bool:
         raise ValueError("n must be composite")
     if gcd(n, 3 * d) != 1:
         raise ValueError("require gcd(n, 3d) = 1")
-    ctx = unchecked_context(n, 3, d)
     e = n**3 - 1
     for c in range(2, n):
         if gcd(c, n) == 1 and pow(c, e, n) != 1:
             return False
+    ctx = make_context(n, 3, d)
     for coeffs in product(range(n), repeat=3):
         z = RingElement(coeffs)
         if classify_unit(ctx, z).kind is not UnitKind.UNIT:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
 
 from .chain import DEFAULT_K_MAX, reversed_construct, structural_bound_ok
 from .numtheory import SeedTrust, monogenic_ok, twist
@@ -162,18 +161,18 @@ def phase2_cyclotomic(ctx: RingContext, w: RingElement, k: int, q: int) -> Verdi
 
 
 def _cyclotomic_verdict(ctx: RingContext, x: RingElement) -> Verdict:
-    """The norm/gcd ladder on X = w^k: g = gcd(norm(X - 1), N) decides.
+    """classify_unit(X - 1) for X = w^k, that is g = gcd(norm(X - 1), N), decides.
 
-    Given X^q = 1, g = 1 certifies Phi_q(X) ≡ 0 and yields PRIME; g = N
-    means X ≡ 1, so the base had too small an order (RETRY); anything in
-    between is a factor of N whatever X^q is.
+    Given X^q = 1, a UNIT (g = 1) certifies Phi_q(X) ≡ 0 and yields PRIME;
+    ZERO (g = N) means X ≡ 1, so the base had too small an order (RETRY); a
+    ZERO_DIVISOR carries a factor of N whatever X^q is.
     """
-    g = gcd(ring_norm(ctx, ring_sub(ctx, x, one(ctx))), ctx.N)
-    if g == 1:
+    cls = classify_unit(ctx, ring_sub(ctx, x, one(ctx)))
+    if cls.kind is UnitKind.UNIT:
         return Verdict(Outcome.PRIME)
-    if g == ctx.N:
+    if cls.kind is UnitKind.ZERO:
         return Verdict(Outcome.RETRY, Reason.CYCLOTOMIC)
-    return Verdict(Outcome.COMPOSITE, Reason.ZERO_DIVISOR, witness=g)
+    return Verdict(Outcome.COMPOSITE, Reason.ZERO_DIVISOR, witness=cls.factor)
 
 
 def _frobenius_holds(ctx: RingContext, w: RingElement, zeta: int) -> bool:
@@ -254,10 +253,8 @@ def verify(cert: Certificate) -> Verdict:
         return Verdict(Outcome.REJECT, Reason.FORMAT)
     if not structural_bound_ok(n, q, p):
         return Verdict(Outcome.REJECT, Reason.BOUND)
-    if q % p != 1:
-        return Verdict(Outcome.REJECT, Reason.CONGRUENCE)
-    if n % p != 1:
-        # the residue exponent (N-1)/p would not even be defined
+    if q % p != 1 or n % p != 1:
+        # for N the residue exponent (N-1)/p would not even be defined
         return Verdict(Outcome.REJECT, Reason.CONGRUENCE)
     zeta = twist(d, n, p)
     if zeta is None:

@@ -4,8 +4,8 @@ One subcommand per procedure: `generate`, `verify`, `filter`, `bench`, and
 `roots`.  Machine-readable results go to stdout, diagnostics to stderr.
 `verify` exits 0 for PRIME and distinguishes REJECT (2), COMPOSITE (3),
 RETRY (4), and file-level format problems (5); other subcommands exit 0 on
-success and 1 on domain errors, which `main` reports as one stderr line
-`<what> failed: <reason>`.
+success and 1 on domain errors and on a failed `--out` write, which `main`
+reports as one stderr line `<what> failed: <reason>`.
 """
 
 from __future__ import annotations
@@ -54,12 +54,9 @@ def _cmd_generate(args) -> int:
     cert = generate_certificate(args.bits, p=args.degree, d=d, k_max=args.k_max, rng=rng)
     text = cert_encode(cert)
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"cannot write certificate: {exc}", file=sys.stderr)
-            return 1
+        # newline="" writes cert_encode's LFs as they are, which verify requires
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
         print(f"certificate written to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -179,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, GenerationError) as exc:
+    except (ValueError, GenerationError, OSError) as exc:
         print(f"{args.failure}: {exc}", file=sys.stderr)
         return 1
 

@@ -37,9 +37,8 @@ SMALL_BASE_LIMIT = 10**6
 
 
 class SeedTrust(Enum):
-    """How the primality of a seed was established."""
+    """How the primality of a seed was established: PROBABLE is the BPSW test."""
 
-    EXTERNALLY_PROVEN = "EXTERNALLY_PROVEN"
     PROBABLE = "PROBABLE"
 
 

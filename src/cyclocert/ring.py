@@ -53,25 +53,14 @@ def make_context(N: int, p: int, d: int) -> RingContext:
     """Context for the ring Z[x]/(N, x**p - d) with d reduced mod N."""
     if N <= 3 or N % 2 == 0:
         raise ValueError("modulus must be odd and greater than 3")
-    ctx = unchecked_context(N, p, d)
-    if ctx.d == 1:
-        # x**p - 1 splits off x - 1; keep the base strictly inside (1, N)
-        raise ValueError("degenerate base: d ≡ 1 (mod N)")
-    return ctx
-
-
-def unchecked_context(N: int, p: int, d: int) -> RingContext:
-    """Context without the oddness gate; composite sweeps visit even N too."""
-    if N < 2:
-        raise ValueError("modulus must be at least 2")
     if p not in PRIME_DEGREES:
         raise ValueError(f"degree must be one of {PRIME_DEGREES}")
     if d <= 0:
         raise ValueError("base d must be positive")
-    d_red = d % N
-    if d_red == 0:
-        raise ValueError("degenerate base: d ≡ 0 (mod N)")
-    return RingContext(N=N, p=p, d=d_red, phi_p_n=cyclotomic_value(N, p))
+    if d % N in (0, 1):
+        # x**p - d would be x**p, or split off x - 1; keep the base strictly inside (1, N)
+        raise ValueError(f"degenerate base: d ≡ {d % N} (mod N)")
+    return RingContext(N=N, p=p, d=d % N, phi_p_n=cyclotomic_value(N, p))
 
 
 def element(ctx: RingContext, coeffs: Iterable[int]) -> RingElement:
@@ -254,12 +243,10 @@ class UnitClassification:
 def classify_unit(ctx: RingContext, a: RingElement) -> UnitClassification:
     """Classify an element via g = gcd(norm(a), N).
 
-    UNIT when g = 1; ZERO for the zero element or g = N; otherwise a
-    ZERO_DIVISOR whose factor g properly divides N.  Finding a zero divisor
-    is a success case: it factors N.
+    UNIT when g = 1; ZERO when g = N, which includes the zero element, whose
+    norm is 0; otherwise a ZERO_DIVISOR whose factor g properly divides N.
+    Finding a zero divisor is a success case: it factors N.
     """
-    if is_zero(a):
-        return UnitClassification(UnitKind.ZERO)
     g = gcd(ring_norm(ctx, a), ctx.N)
     if g == 1:
         return UnitClassification(UnitKind.UNIT)

@@ -43,6 +43,11 @@ class ScriptedDraws:
         return value % n
 
 
+def raw_context(n: int, p: int, d: int) -> RingContext:
+    """A ring context past make_context's gates, for kernel oracles over any modulus."""
+    return RingContext(n, p, d % n, cyclotomic_value(n, p))
+
+
 def slow_pow(ctx: RingContext, a: RingElement, e: int) -> RingElement:
     """Exponentiation by repeated multiplication; the oracle for ring_pow."""
     result = RingElement((1 % ctx.N,) + (0,) * (ctx.p - 1))

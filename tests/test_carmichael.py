@@ -115,6 +115,19 @@ class TestKorseltCheck:
         assert report.korselt_ok is False
 
 
+def _count_contexts(monkeypatch):
+    """The moduli carmichael_direct builds a ring context for, in call order."""
+    moduli = []
+    make_context = carmichael.make_context
+
+    def counted(n, p, d):
+        moduli.append(n)
+        return make_context(n, p, d)
+
+    monkeypatch.setattr(carmichael, "make_context", counted)
+    return moduli
+
+
 class TestCarmichaelDirect:
     @pytest.mark.parametrize("n,d", [(4, 3), (10, 3), (25, 2)])
     def test_small_composites_fail(self, n, d):
@@ -135,9 +148,22 @@ class TestCarmichaelDirect:
         n = 133
         assert all(pow(c, n**3 - 1, n) == 1 for c in range(2, n) if gcd(c, n) == 1)
         monkeypatch.setattr(carmichael, "DIRECT_LIMIT", n)
+        contexts = _count_contexts(monkeypatch)
         assert carmichael_direct(n, d) is False
+        assert contexts == [n]
         report = korselt_check(n, d)
         assert report.korselt_ok is False and report.irreducibility_ok is True
+
+    def test_scalar_sweep_decides_every_composite_to_60(self, monkeypatch):
+        # even n fail at c = n - 1, since n³ - 1 is odd; so does every odd composite up to 60
+        contexts = _count_contexts(monkeypatch)
+        for n in range(4, carmichael.DIRECT_LIMIT + 1):
+            if is_probable_prime(n):
+                continue
+            for d in (2, 3, 5):
+                if gcd(n, 3 * d) == 1:
+                    assert carmichael_direct(n, d) is False, (n, d)
+        assert contexts == []
 
     def test_korselt_equivalence_under_irreducibility(self):
         # for every composite N ≡ 1 (mod 3) up to 60 where the hypothesis of

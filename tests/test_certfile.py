@@ -42,8 +42,7 @@ def random_valid_cert(rng, p=None):
             break
     d = rng.randrange(2, min(n - 1, 10**6))
     w = RingElement(tuple(rng.randrange(n) for _ in range(p)))
-    trust = rng.choice((SeedTrust.PROBABLE, SeedTrust.EXTERNALLY_PROVEN))
-    return Certificate("1", p, d, n, phi // k, k, w, trust)
+    return Certificate("1", p, d, n, phi // k, k, w, SeedTrust.PROBABLE)
 
 
 class TestGoldenFile:
@@ -153,9 +152,11 @@ class TestDecodeValidation:
             cert_decode(text)
 
     def test_bad_trust_label(self):
-        text = GOLDEN.read_text().replace("seed_trust=PROBABLE", "seed_trust=MAYBE")
-        with pytest.raises(CertFormatError):
-            cert_decode(text)
+        # a label for a proven seed is refused too: no proof is attached or checked
+        for label in ("MAYBE", "EXTERNALLY_PROVEN"):
+            text = GOLDEN.read_text().replace("seed_trust=PROBABLE", f"seed_trust={label}")
+            with pytest.raises(CertFormatError, match=f"unknown seed_trust value '{label}'"):
+                cert_decode(text)
 
     def test_garbage_line(self):
         with pytest.raises(CertFormatError):

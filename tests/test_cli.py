@@ -72,17 +72,21 @@ class TestGenerate:
 
     def test_write_to_file(self, tmp_path, capsys):
         out = tmp_path / "c.cert"
-        assert main(["generate", "--bits", "36", "--rng-seed", "2", "--out", str(out)]) == 0
+        argv = ["generate", "--bits", "36", "--rng-seed", "2"]
+        assert main([*argv, "--out", str(out)]) == 0
         captured = capsys.readouterr()
         assert captured.out == ""  # certificate went to the file, not stdout
         cert = cert_decode(out.read_text())
         assert cert.N.bit_length() == 36
+        # the file holds cert_encode's LFs untranslated, as verify requires
+        assert main(argv) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode()
 
     def test_unwritable_out_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.cert"
         assert main(["generate", "--bits", "32", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("cannot write certificate: ")
+        assert err.count("\n") == 1 and err.startswith("generation failed: ")
 
     def test_explicit_base(self, capsys):
         assert main(["generate", "--bits", "32", "--d", "2", "--rng-seed", "4"]) == 0
@@ -179,6 +183,16 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("certificate file rejected: line 1: line break ")
+
+    def test_unknown_seed_trust_exit_five(self, tmp_path, capsys):
+        path = tmp_path / "proven.cert"
+        path.write_bytes(
+            (DATA / "golden_n7.cert").read_bytes().replace(b"=PROBABLE", b"=EXTERNALLY_PROVEN")
+        )
+        assert main(["verify", "--cert", str(path)]) == EXIT_FORMAT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("certificate file rejected: unknown seed_trust value ")
 
     def test_missing_file_exit_five(self, capsys):
         assert main(["verify", "--cert", "/nonexistent/path.cert"]) == EXIT_FORMAT
@@ -284,7 +298,9 @@ class TestFailurePath:
         assert main(argv) == 1
         assert _one_failure_line(capsys.readouterr(), prefix)
 
-    @pytest.mark.parametrize("exc", [ValueError("boom"), cli.GenerationError("boom")])
+    @pytest.mark.parametrize(
+        "exc", [ValueError("boom"), cli.GenerationError("boom"), OSError("boom")]
+    )
     def test_main_prints_what_the_command_raises(self, exc, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise exc

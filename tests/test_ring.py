@@ -21,11 +21,17 @@ from cyclocert import (
     ring_pow,
     scalar,
     theta,
-    unchecked_context,
     zero,
 )
 from cyclocert.ring import PRIME_DEGREES, _window_width
-from helpers import cubic_norm, schoolbook_mul, sieve_primes, slow_pow, square_and_multiply
+from helpers import (
+    cubic_norm,
+    raw_context,
+    schoolbook_mul,
+    sieve_primes,
+    slow_pow,
+    square_and_multiply,
+)
 
 
 def ctx7():
@@ -38,8 +44,9 @@ class TestMakeContext:
         assert ctx.phi_p_n == 57
 
     def test_degenerate_base_rejected(self):
-        with pytest.raises(ValueError):
-            make_context(7, 3, 14)
+        for d in (14, 7, 0, -5):
+            with pytest.raises(ValueError, match="degenerate base: d ≡ 0|base d must be positive"):
+                make_context(7, 3, d)
 
     def test_reference_degree5_context(self):
         n = 10376766241
@@ -62,10 +69,6 @@ class TestMakeContext:
         with pytest.raises(ValueError):
             make_context(7, 4, 2)
 
-    def test_unchecked_context_allows_even(self):
-        ctx = unchecked_context(4, 3, 3)
-        assert ctx.N == 4 and ctx.d == 3
-
     def test_phi_times_n_minus_one(self):
         for n, p in [(7, 3), (13, 3), (11, 5), (9, 7)]:
             ctx = make_context(n, p, 2)
@@ -84,7 +87,7 @@ def _coefficient_products(p, square):
 
         __rmul__ = __mul__
 
-    ctx = unchecked_context(1009, p, 3)
+    ctx = make_context(1009, p, 3)
     a = RingElement(tuple(Coefficient(c) for c in range(2, p + 2)))
     b = a if square else RingElement(tuple(Coefficient(c) for c in range(5, p + 5)))
     result = ring_mul(ctx, a, b)
@@ -210,7 +213,7 @@ def _kernel_case(data):
     p = data.draw(st.sampled_from(PRIME_DEGREES), label="p")
     n = data.draw(st.integers(2, 2**80), label="N")
     d = data.draw(st.integers(1, 2**16).filter(lambda v: v % n), label="d")
-    ctx = unchecked_context(n, p, d)
+    ctx = raw_context(n, p, d)
     # coefficients outside [0, N) too: the kernel reduces what it is given
     coeff = st.integers(-(2**90), 2**90)
     a, b = (RingElement(tuple(data.draw(coeff) for _ in range(p))) for _ in range(2))
@@ -226,7 +229,7 @@ class TestKernelOracle:
     @pytest.mark.parametrize("p", PRIME_DEGREES)
     @pytest.mark.parametrize("n", [1009, 1024])
     def test_boundary_exponents(self, p, n):
-        ctx = unchecked_context(n, p, 3)
+        ctx = raw_context(n, p, 3)
         a = element(ctx, range(2, p + 2))
         for e in BOUNDARY_EXPONENTS:
             assert ring_pow(ctx, a, e) == square_and_multiply(ctx, a, e), e
@@ -355,8 +358,11 @@ class TestClassifyUnit:
         assert cls.factor == 5
 
     def test_zero_element(self):
-        ctx = ctx7()
-        assert classify_unit(ctx, zero(ctx)).kind is UnitKind.ZERO
+        # no shortcut for zero: its norm is 0, so g = N
+        for p in PRIME_DEGREES:
+            ctx = make_context(7, p, 2)
+            assert ring_norm(ctx, zero(ctx)) == 0
+            assert classify_unit(ctx, zero(ctx)).kind is UnitKind.ZERO
 
     @pytest.mark.parametrize("n", [7, 13])
     def test_field_structure_every_nonzero_is_unit(self, n):
