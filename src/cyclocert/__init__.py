@@ -55,8 +55,6 @@ from .numtheory import (
 from .ring import (
     RingContext,
     RingElement,
-    UnitClassification,
-    UnitKind,
     classify_unit,
     cyclotomic_value,
     element,
@@ -90,8 +88,6 @@ __all__ = [
     "RingContext",
     "RingElement",
     "SeedTrust",
-    "UnitClassification",
-    "UnitKind",
     "Verdict",
     "carmichael_direct",
     "cert_decode",

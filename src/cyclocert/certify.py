@@ -18,14 +18,13 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .chain import DEFAULT_K_MAX, reversed_construct, structural_bound_ok
+from .chain import reversed_construct, structural_bound_ok
 from .numtheory import SeedTrust, monogenic_ok, twist
 from .numtheory import pth_residue  # noqa: F401  perfbench/tracing.py wraps certify.pth_residue
 from .ring import (
     PRIME_DEGREES,
     RingContext,
     RingElement,
-    UnitKind,
     classify_unit,
     element,
     is_zero,
@@ -121,26 +120,26 @@ def phase1_generate(ctx: RingContext, rng: random.Random) -> Phase1Result:
     decides either way.
     unitary_project keeps z^(N-1), since sprp_filter runs it on composite N.
 
-    A zero-divisor draw is promoted to COMPOSITE with the factor it
-    exposes; a zero draw or a projection landing on 1 is EXHAUSTED, and
-    generate_certificate then resamples the candidate.  The caller is
-    responsible for the structural bound and for d being an admissible
-    base; a unit draw raises ValueError when numtheory.twist finds none.
+    With g = gcd(norm(z), N): g = N, as for a zero draw, is EXHAUSTED, and
+    so is a projection landing on 1; generate_certificate then resamples
+    the candidate.  Any other g ≠ 1 is COMPOSITE with the factor g.  The
+    caller is responsible for the structural bound and for d being an
+    admissible base; a unit draw raises ValueError when numtheory.twist
+    finds none.
     """
     n = ctx.N
     z = RingElement(tuple(rng.randrange(n) for _ in range(ctx.p)))
-    cls = classify_unit(ctx, z)
-    if cls.kind is UnitKind.ZERO_DIVISOR:
-        return Phase1Result(Phase1Status.COMPOSITE, witness=cls.factor)
-    if cls.kind is UnitKind.ZERO:
+    g = classify_unit(ctx, z)
+    if g == n:
         return Phase1Result(Phase1Status.EXHAUSTED)
+    if g != 1:
+        return Phase1Result(Phase1Status.COMPOSITE, witness=g)
     zeta = twist(ctx.d, n, ctx.p)
     if zeta is None:
         raise ValueError("inadmissible base d: need n ≡ 1 (mod p), gcd(n, p·d) = 1 and ζ ≠ 1")
     # σ(z)·∏_{i≥1} σ^i(z) = σ(z)·z⁻¹·norm(z)
     first, orbit = _twist_orbit(ctx, z, zeta)
     w = ring_mul(ctx, first, orbit)
-    # classify_unit found norm(z) coprime to N
     inverse = pow(ring_norm(ctx, z), -1, n)
     w = RingElement(tuple(c * inverse % n for c in w.coeffs))
     if w == one(ctx):
@@ -161,18 +160,18 @@ def phase2_cyclotomic(ctx: RingContext, w: RingElement, k: int, q: int) -> Verdi
 
 
 def _cyclotomic_verdict(ctx: RingContext, x: RingElement) -> Verdict:
-    """classify_unit(X - 1) for X = w^k, that is g = gcd(norm(X - 1), N), decides.
+    """g = gcd(norm(X - 1), N) for X = w^k decides.
 
-    Given X^q = 1, a UNIT (g = 1) certifies Phi_q(X) ≡ 0 and yields PRIME;
-    ZERO (g = N) means X ≡ 1, so the base had too small an order (RETRY); a
-    ZERO_DIVISOR carries a factor of N whatever X^q is.
+    Given X^q = 1, g = 1 certifies Phi_q(X) ≡ 0 and yields PRIME; g = N
+    means X ≡ 1, so the base had too small an order (RETRY); any other g
+    is a factor of N whatever X^q is.
     """
-    cls = classify_unit(ctx, ring_sub(ctx, x, one(ctx)))
-    if cls.kind is UnitKind.UNIT:
+    g = classify_unit(ctx, ring_sub(ctx, x, one(ctx)))
+    if g == 1:
         return Verdict(Outcome.PRIME)
-    if cls.kind is UnitKind.ZERO:
+    if g == ctx.N:
         return Verdict(Outcome.RETRY, Reason.CYCLOTOMIC)
-    return Verdict(Outcome.COMPOSITE, Reason.ZERO_DIVISOR, witness=cls.factor)
+    return Verdict(Outcome.COMPOSITE, Reason.ZERO_DIVISOR, witness=g)
 
 
 def _frobenius_holds(ctx: RingContext, w: RingElement, zeta: int) -> bool:
@@ -246,7 +245,7 @@ def verify(cert: Certificate) -> Verdict:
        certificate claims.
     3. g = 1 is PRIME and g = N is RETRY.
     ζ is computed once, and w^N is the longest exponentiation whenever
-    k < N, which holds once N exceeds the generator's k_max.
+    k < N, which generated certificates have once N > chain.DEFAULT_K_MAX.
     """
     n, p, q, k, d = cert.N, cert.p, cert.q, cert.k, cert.d
     if p not in PRIME_DEGREES or n < 2 or q < 2:
@@ -307,7 +306,6 @@ def generate_certificate(
     target_bits: int,
     p: int = 3,
     d: int | None = None,
-    k_max: int = DEFAULT_K_MAX,
     rng: random.Random | None = None,
     verdict_log: list[tuple[int, Verdict]] | None = None,
 ) -> Certificate:
@@ -331,7 +329,7 @@ def generate_certificate(
     if d is not None and not monogenic_ok(d, p):
         raise ValueError(f"base d = {d} does not admit power-basis arithmetic")
     for _ in range(MAX_ROUNDS):
-        chain = reversed_construct(target_bits, p, k_max=k_max, rng=rng)
+        chain = reversed_construct(target_bits, p, rng=rng)
         if not chain.accepted:
             continue
         n, q, k = chain.N, chain.q, chain.k

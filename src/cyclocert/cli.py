@@ -19,7 +19,7 @@ from .certfile import CertFileError, cert_decode, cert_encode
 from .certify import GenerationError, Outcome, Verdict, generate_certificate, sprp_filter, verify
 from .chain import DEFAULT_K_MAX, cofactor_split
 from .numtheory import cyclotomic_roots, is_probable_prime, twist
-from .ring import RingElement, make_context
+from .ring import PRIME_DEGREES, RingElement, make_context
 
 EXIT_PRIME = 0
 EXIT_REJECT = 2
@@ -51,7 +51,7 @@ def _verdict_line(verdict: Verdict) -> str:
 def _cmd_generate(args) -> int:
     d = None if args.d == "auto" else int(args.d)
     rng = random.Random(args.rng_seed)
-    cert = generate_certificate(args.bits, p=args.degree, d=d, k_max=args.k_max, rng=rng)
+    cert = generate_certificate(args.bits, p=args.degree, d=d, rng=rng)
     text = cert_encode(cert)
     if args.out:
         # newline="" writes cert_encode's LFs as they are, which verify requires
@@ -125,8 +125,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_roots(args) -> int:
-    if not (is_probable_prime(args.p) and is_probable_prime(args.q)):
-        raise ValueError("p and q must be primes")
+    if args.p not in PRIME_DEGREES:
+        raise ValueError(f"degree must be one of {PRIME_DEGREES}")
+    if not is_probable_prime(args.q):
+        raise ValueError("q must be a prime")
     print(" ".join(str(r) for r in sorted(cyclotomic_roots(args.p, args.q))))
     return 0
 
@@ -142,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--bits", type=int, required=True, help="target bit length of N")
     g.add_argument("--degree", type=int, default=3, help="prime ring degree p")
     g.add_argument("--d", default="auto", help="ring base: 'auto' or an integer")
-    g.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, help="largest cofactor k allowed")
     g.add_argument("--rng-seed", type=int, default=0)
     g.add_argument("--out", help="write the certificate file here instead of stdout")
     g.set_defaults(func=_cmd_generate, failure="generation failed")
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=_cmd_bench, failure="bench failed")
 
     r = sub.add_parser("roots", help="residues where the degree-p cyclotomic vanishes mod q")
-    r.add_argument("--p", type=int, required=True)
+    r.add_argument("--p", type=int, required=True, help="prime ring degree p")
     r.add_argument("--q", type=int, required=True)
     r.set_defaults(func=_cmd_roots, failure="roots failed")
 

@@ -1,8 +1,8 @@
 """Exact arithmetic in the quotient ring Z[x]/(N, x**p - d).
 
 N may be composite: every operation stays correct over Z/NZ, and the norm is
-computed as an integer determinant so that unit/zero-divisor classification
-works even when modular elimination would hit non-invertible pivots.
+computed as an integer determinant so that g = gcd(norm, N) classifies an
+element even when modular elimination would hit non-invertible pivots.
 Elements are coefficient vectors of length exactly p, fully reduced into
 [0, N) after every operation.  Everything here is a pure function of
 immutable inputs.
@@ -16,7 +16,6 @@ A RingElement is built only at the end of ring_mul and ring_pow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from math import gcd
 from typing import Iterable
@@ -226,30 +225,11 @@ def ring_norm(ctx: RingContext, a: RingElement) -> int:
     return _bareiss_det(matrix) % N
 
 
-class UnitKind(Enum):
-    UNIT = "UNIT"
-    ZERO = "ZERO"
-    ZERO_DIVISOR = "ZERO_DIVISOR"
+def classify_unit(ctx: RingContext, a: RingElement) -> int:
+    """g = gcd(norm(a), N), which classifies a.
 
-
-@dataclass(frozen=True)
-class UnitClassification:
-    """Outcome of gcd(norm, N): a ZERO_DIVISOR carries the factor it found."""
-
-    kind: UnitKind
-    factor: int | None = None
-
-
-def classify_unit(ctx: RingContext, a: RingElement) -> UnitClassification:
-    """Classify an element via g = gcd(norm(a), N).
-
-    UNIT when g = 1; ZERO when g = N, which includes the zero element, whose
-    norm is 0; otherwise a ZERO_DIVISOR whose factor g properly divides N.
-    Finding a zero divisor is a success case: it factors N.
+    g = 1: a is a unit.  g = N: norm(a) ≡ 0, as for the zero element.
+    Otherwise a is a zero divisor and g is a proper factor of N, so finding
+    one is a success case: it factors N.
     """
-    g = gcd(ring_norm(ctx, a), ctx.N)
-    if g == 1:
-        return UnitClassification(UnitKind.UNIT)
-    if g == ctx.N:
-        return UnitClassification(UnitKind.ZERO)
-    return UnitClassification(UnitKind.ZERO_DIVISOR, factor=g)
+    return gcd(ring_norm(ctx, a), ctx.N)

@@ -21,7 +21,6 @@ from cyclocert import (
     Reason,
     RingElement,
     SeedTrust,
-    UnitKind,
     Verdict,
     cert_decode,
     cert_encode,
@@ -132,7 +131,7 @@ class TestPhase1:
             replay = random.Random(seed)
             while True:
                 z = RingElement(tuple(replay.randrange(cert.N) for _ in range(p)))
-                if classify_unit(ctx, z).kind is UnitKind.UNIT:
+                if classify_unit(ctx, z) == 1:
                     break
             assert result.status is Phase1Status.ELEMENT
             assert result.w == unitary_project(ctx, z)

@@ -261,13 +261,19 @@ class TestMalformedInput:
         assert exc.value.code == 2
         assert "invalid choice: 'carmichael'" in capsys.readouterr().err
 
+    def test_removed_k_max_flag_is_unrecognized(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--bits", "32", "--k-max", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --k-max 5" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["generate", "--bits", "32", "--d", "abc"],
             ["bench", "--bits", "64,x"],
             ["roots", "--p", "3", "--q", "1"],
-            ["roots", "--p", "4", "--q", "5"],  # 4 has order 2 mod 5
+            ["roots", "--p", "4", "--q", "5"],  # 4 is no ring degree
             ["roots", "--p", "3", "--q", "25"],  # 6 and 11 are no roots mod 25
         ],
     )
@@ -292,6 +298,8 @@ class TestFailurePath:
             (["generate", "--bits", "7", "--degree", "5"], "generation failed: certificate "),
             (["bench", "--bits", "40,32"], "bench failed: "),
             (["roots", "--p", "3", "--q", "5"], "roots failed: "),
+            # 103 ≡ 1 (mod 17), but only ring degrees are taken, so the output stays short
+            (["roots", "--p", "17", "--q", "103"], "roots failed: degree must be one of "),
         ],
     )
     def test_one_prefixed_line_exit_one(self, argv, prefix, capsys):
