@@ -5,13 +5,8 @@ certify primality with a constant number of exponentiations in the ring
 Z[x]/(N, x**p - d).
 """
 
-from .bench import BenchReport, BenchRow, run_bench
-from .carmichael import (
-    CarmichaelReport,
-    carmichael_direct,
-    factorize,
-    korselt_check,
-)
+from importlib import import_module
+
 from .certfile import (
     CertFileError,
     CertFormatError,
@@ -124,3 +119,17 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# exports of the modules that verify and generate never run, loaded on first use (PEP 562)
+_LAZY = {
+    "bench": ("BenchReport", "BenchRow", "run_bench"),
+    "carmichael": ("CarmichaelReport", "carmichael_direct", "factorize", "korselt_check"),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            globals()[name] = value = getattr(import_module(f".{module}", __name__), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,8 +15,7 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .certify import Certificate, Outcome, Verdict, generate_certificate, verify
 
@@ -24,16 +23,14 @@ from .certify import Certificate, Outcome, Verdict, generate_certificate, verify
 REPETITIONS = 9
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     bits: int
     verify_ms: float
     n_digits: int
     q_digits: int
 
 
-@dataclass(frozen=True)
-class BenchReport:
+class BenchReport(NamedTuple):
     """Rows sorted by bits; slope is None when fewer than two sizes ran."""
 
     rows: tuple[BenchRow, ...]

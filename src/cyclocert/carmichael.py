@@ -10,9 +10,9 @@ for tiny N; the Korselt route only needs the factorization of N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd
+from typing import NamedTuple
 
 from .numtheory import SMALL_PRIMES, is_probable_prime, twist
 from .ring import RingElement, classify_unit, make_context, one, ring_pow
@@ -69,8 +69,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return sorted(factors.items())
 
 
-@dataclass(frozen=True)
-class CarmichaelReport:
+class CarmichaelReport(NamedTuple):
     """Per-candidate record of the Korselt-style conditions.
 
     korselt_ok covers squarefreeness plus the divisibility condition;

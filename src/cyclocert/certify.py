@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .chain import reversed_construct, structural_bound_ok
 from .numtheory import SeedTrust, monogenic_ok, twist
@@ -74,8 +75,7 @@ class Reason(Enum):
     FORMAT = "FORMAT"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Verifier outcome; a COMPOSITE with ZERO_DIVISOR carries a factor of N."""
 
     outcome: Outcome
@@ -100,8 +100,7 @@ class Phase1Status(Enum):
     EXHAUSTED = "EXHAUSTED"
 
 
-@dataclass(frozen=True)
-class Phase1Result:
+class Phase1Result(NamedTuple):
     status: Phase1Status
     w: RingElement | None = None
     witness: int | None = None

@@ -12,12 +12,12 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import chain as chain_iterables
 from itertools import compress, repeat
 from math import isqrt
+from typing import NamedTuple
 
 from .numtheory import _sieve, _strong_test, cyclotomic_roots, is_probable_prime, smooth_part
 from .ring import PRIME_DEGREES, cyclotomic_value
@@ -35,8 +35,7 @@ class ChainStatus(Enum):
     REJECT_NO_SEED = "REJECT_NO_SEED"
 
 
-@dataclass(frozen=True)
-class ChainResult:
+class ChainResult(NamedTuple):
     """Outcome of one construction attempt.
 
     When ACCEPTED: Phi_p(N) = k·q exactly, N ≡ 1 (mod p), and the structural

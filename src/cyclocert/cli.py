@@ -14,7 +14,6 @@ import argparse
 import random
 import sys
 
-from .bench import run_bench
 from .certfile import CertFileError, cert_decode, cert_encode
 from .certify import GenerationError, Outcome, Verdict, generate_certificate, sprp_filter, verify
 from .chain import DEFAULT_K_MAX, cofactor_split
@@ -109,6 +108,7 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import run_bench  # imported here, so verify and generate never load it
     sizes = [int(b) for b in args.bits.split(",")]
     report = run_bench(sizes, p=args.degree, rng_seed=args.rng_seed)
     for row in report.rows:

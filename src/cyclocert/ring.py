@@ -15,16 +15,14 @@ A RingElement is built only at the end of ring_mul and ring_pow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 PRIME_DEGREES = (3, 5, 7, 11, 13)
 
 
-@dataclass(frozen=True)
-class RingContext:
+class RingContext(NamedTuple):
     """Ring description: modulus N, prime degree p, reduction base d.
 
     ``phi_p_n`` caches the cyclotomic value N^(p-1) + ... + N + 1.
@@ -36,8 +34,7 @@ class RingContext:
     phi_p_n: int
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(NamedTuple):
     """Residue as exactly p coefficients in [0, N), constant term first."""
 
     coeffs: tuple[int, ...]

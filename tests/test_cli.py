@@ -313,7 +313,8 @@ class TestFailurePath:
         def fail(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(cli, "run_bench", fail)
+        # _cmd_bench imports run_bench when it runs, so the patch goes on its module
+        monkeypatch.setattr("cyclocert.bench.run_bench", fail)
         assert main(["bench", "--bits", "32"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "bench failed: boom\n"
