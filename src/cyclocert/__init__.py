@@ -133,3 +133,7 @@ def __getattr__(name: str):
             globals()[name] = value = getattr(import_module(f".{module}", __name__), name)
             return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import random
 from array import array
-from bisect import bisect_right
 from enum import Enum
 from functools import lru_cache
-from itertools import chain as chain_iterables
-from itertools import compress, repeat
+from itertools import compress
 from math import isqrt
 from typing import NamedTuple
 
@@ -90,38 +88,39 @@ def _sample_candidate(rng: random.Random, bits: int, p: int) -> int | None:
     return n
 
 
-@lru_cache(maxsize=None)
-def _sieve_table(p: int) -> tuple[array, array, array, array, tuple[array, ...]]:
-    """Per-degree sieve data, built on first use rather than at import.
+@lru_cache(maxsize=8)
+def _strikes(p: int, k_max: int) -> tuple[array, array, array]:
+    """The sieve's columns ℓ, (2p)⁻¹ mod ℓ and r, built on first use rather than at import.
 
-    The odd primes ℓ <= SIEVE_BOUND other than p with (2p)⁻¹ mod ℓ; then the
-    subset ℓ ≡ 1 (mod p) with their inverses and p-1 columns holding the
-    residues where Phi_p vanishes mod ℓ.
+    r runs over the roots of x·Phi_p(x) mod ℓ for every odd prime
+    ℓ <= SIEVE_BOUND other than p.  The roots of Phi_p, which exist only for
+    ℓ ≡ 1 (mod p), are left out when ℓ <= k_max: such an ℓ may divide k.
     """
     # filled one value at a time: every fresh import of the package rebuilds
-    # the table, and lists of boxed ints left behind fragment the allocator
-    primes = array("H", (ell for ell in _sieve(SIEVE_BOUND) if ell not in (2, p)))
-    inverses = array("H", (pow(2 * p, -1, ell) for ell in primes))
-    is_split = [ell % p == 1 for ell in primes]
-    split = array("H", compress(primes, is_split))
-    split_inverses = array("H", compress(inverses, is_split))
-    root_columns = tuple(array("H") for _ in range(p - 1))
-    for ell in split:
-        for column, r in zip(root_columns, sorted(cyclotomic_roots(p, ell))):
-            column.append(r)
-    return primes, inverses, split, split_inverses, root_columns
+    # the table, and lists of boxed ints left behind fragment the allocator.
+    # r = 0 for every ℓ comes first and the roots of Phi_p after: a window is
+    # then about 2% faster than with each ℓ's residues side by side.
+    ells = array("H", (ell for ell in _sieve(SIEVE_BOUND) if ell not in (2, p)))
+    roots = array("H", [0]) * len(ells)
+    for ell in ells[:]:  # a copy, since the loop appends to ells
+        if ell % p == 1 and ell > k_max:
+            for r in cyclotomic_roots(p, ell):
+                ells.append(ell)
+                roots.append(r)
+    inverses = array("H", (pow(2 * p, -1, ell) for ell in ells))
+    return ells, inverses, roots
 
 
 def sieve_window(start: int, count: int, p: int, k_max: int) -> bytearray:
     """Flags for N = start + 2p·i, 0 <= i < count: 0 where N cannot certify.
 
-    Each triple (ℓ, (2p)⁻¹ mod ℓ, r) strikes the N ≡ r (mod ℓ).  The residue
-    r is 0 for every prime ℓ <= SIEVE_BOUND other than 2 and p: ℓ is then
-    a proper factor of N.  For ℓ ≡ 1 (mod p) with k_max < ℓ <= SIEVE_BOUND,
-    r also runs over the roots of Phi_p mod ℓ, where ℓ divides Phi_p(N):
-    such an ℓ is too large to sit in k <= k_max and too small to be q, since
-    (ℓ+1)² <= N^p, so Phi_p(N) = k·q fails.  Both rules need N > SIEVE_BOUND,
-    so a window that starts at or below it is returned unsieved.
+    N is struck where a prime ℓ <= SIEVE_BOUND other than 2 and p divides
+    N·Phi_p(N), unless ℓ ≡ 1 (mod p) with ℓ <= k_max divides only Phi_p(N).
+    A struck ℓ | N is a proper factor of N.  A struck ℓ | Phi_p(N) is too
+    large to sit in k <= k_max and too small to be q, since (ℓ+1)² <= N^p,
+    so Phi_p(N) = k·q fails.  Each (ℓ, (2p)⁻¹ mod ℓ, r) of _strikes strikes
+    the N ≡ r (mod ℓ).  The rule needs N > SIEVE_BOUND, so a window that
+    starts at or below it is returned unsieved.
     """
     step = 2 * p
     if start % step != 1:
@@ -129,13 +128,7 @@ def sieve_window(start: int, count: int, p: int, k_max: int) -> bytearray:
     flags = bytearray(b"\x01") * count
     if start <= SIEVE_BOUND:
         return flags
-    primes, inverses, split, split_inverses, root_columns = _sieve_table(p)
-    first = bisect_right(split, k_max)
-    triples = chain_iterables(
-        zip(primes, inverses, repeat(0)),
-        *(zip(split[first:], split_inverses[first:], column[first:]) for column in root_columns),
-    )
-    for ell, inv, r in triples:
+    for ell, inv, r in zip(*_strikes(p, k_max)):
         i = (r - start % ell) * inv % ell
         if i + ell < count:
             flags[i::ell] = bytes((count - 1 - i) // ell + 1)

@@ -208,18 +208,21 @@ class TestSievedSearchMatchesScan:
             n = start + 2 * p * i
             assert candidate_split(n, p, k_max) == scan_cofactors(n, p, k_max), n
 
-    @pytest.mark.parametrize("k_max", [100, 10000])
+    @pytest.mark.parametrize("k_max", [100, 500, 10000])
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_window_above_sieve_bound(self, p, k_max):
-        count = 240
-        start = SIEVE_BOUND + 1 + (-SIEVE_BOUND) % (2 * p)
+        # just above the bound, and at the benchmark's 192 bits, where start % ℓ
+        # carries the work; 48 positions keep the oracle under a second there
         primes = sieve_primes(SIEVE_BOUND)
-        flags = sieve_window(start, count, p, k_max)
-        for i in range(count):
-            n = start + 2 * p * i
-            assert (not flags[i]) == struck_directly(n, p, k_max, primes), n
-            if not flags[i]:
-                assert scan_cofactors(n, p, k_max) is None, n
+        low_192 = random.Random(192).getrandbits(191) | 1 << 191
+        for low, count in [(SIEVE_BOUND, 240), (low_192, 48)]:
+            start = low + 1 + (-low) % (2 * p)
+            flags = sieve_window(start, count, p, k_max)
+            for i in range(count):
+                n = start + 2 * p * i
+                assert (not flags[i]) == struck_directly(n, p, k_max, primes), n
+                if not flags[i]:
+                    assert scan_cofactors(n, p, k_max) is None, n
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_window_beyond_trial_division(self, p):

@@ -64,6 +64,14 @@ def test_star_import_in_a_fresh_interpreter_resolves_every_export():
     assert run_fresh(code).split() == []
 
 
+def test_dir_lists_every_export_before_any_lazy_lookup():
+    # dir loads no lazy module, and the sieve table is built on first use, not at import
+    code = "import cyclocert.cli; "
+    code += "assert set(cyclocert.__all__) <= set(dir(cyclocert)), 'dir omits an export'; "
+    code += "assert cyclocert.chain._strikes.cache_info().currsize == 0, 'table built at import'"
+    assert loaded(code) == {"cyclocert", *(f"cyclocert.{m}" for m in CORE)}
+
+
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no attribute 'bench_report'"):
         getattr(cyclocert, "bench_report")
